@@ -172,16 +172,6 @@ class StructureReport:
     t_layers: Tuple[Tuple[Tuple[GaussianRational, ...], ...], ...]
     t_layer_indices: Tuple[Optional[Tuple[int, ...]], ...]
 
-    def layer_of_center_complement(self) -> Tuple[int, ...]:
-        """Basis indices not in the center; valid when center is coordinate."""
-        if self.center_indices is None:
-            raise CenterDimensionError("center is not spanned by basis vectors")
-        return tuple(i for i in range(1, _layer_width(self) + 1) if i not in self.center_indices)
-
-
-def _layer_width(report: StructureReport) -> int:
-    return sum(len(layer) for layer in report.t_layers)
-
 
 def _unit_index(vector: Tuple[GaussianRational, ...]) -> Optional[int]:
     """1-based index when the vector is a scalar multiple of a basis vector."""

@@ -27,8 +27,9 @@ from typing import List, Optional, Tuple
 from .algebra import AlgebraError, AlgebraSpec, StructureReport, validate
 from .catalog import (CatalogError, FAMILIES, SpecFormatError, catalog_names,
                       emit_spec, parse_catalog_name, parse_spec)
-from .cohomology import (CohomologyReport, ConsistencyError, ObstructionInputError,
-                         analyze, deformed_complex, first_page, obstruction)
+from .cohomology import (CohomologyReport, ConsistencyError, DeformationError,
+                         ObstructionInputError, analyze, deformed_complex, first_page,
+                         obstruction)
 from .exterior import ExteriorComplex, GradedElement, PoissonError
 from .expressions import ExpressionContext, ExpressionError, format_multivector, parse_multivector
 from .rationals import MalformedRational
@@ -199,9 +200,8 @@ def _cmd_deform(args) -> int:
     lam = _parse_expression(args.poisson, context, "--poisson")
     omega = _parse_expression(args.omega, context, "--omega")
     try:
-        cx.validate_poisson(lam)
         result = deformed_complex(cx, lam, omega, max_degree=args.max_degree)
-    except (PoissonError, ValueError) as exc:
+    except (PoissonError, DeformationError) as exc:
         # ConsistencyError is a RuntimeError and propagates to exit code 2
         raise InputError(str(exc)) from None
     if args.json:

@@ -351,8 +351,10 @@ def deformed_complex(cx: ExteriorComplex, lam: GradedElement, omega_bar: GradedE
 
     Omega_bar must be an integrable (0,2) class: dbar_Lambda(Omega_bar) = 0
     and [Omega_bar, Omega_bar] = 0.  delta^2 = 0 is verified block-wise on
-    the assembled matrices before any dimension is reported.
+    the assembled matrices before any dimension is reported.  Lambda is
+    checked first with :meth:`ExteriorComplex.validate_poisson`.
     """
+    cx.validate_poisson(lam)
     if omega_bar and not omega_bar.is_homogeneous(0, 2):
         raise NotBidegree02(
             f"expected a (0,2) class, got bidegrees {sorted(omega_bar.bidegrees())}")

@@ -19,6 +19,19 @@ graded operators as exact sparse matrices per bidegree block:
   bidegree block in the canonical monomial bases, memoized per
   (kind, block, multivector).
 
+Blocks are assembled factorised.  Both operators are graded derivations
+and dbar(wbar) = 0, so for D = dbar or D = ad_E with E homogeneous,
+
+    D(X_P ^ wbar_Q) = D(X_P) ^ wbar_Q + (-1)^{(|E|-1)|P|} X_P ^ D(wbar_Q),
+
+where the second term vanishes for dbar.  A block therefore needs only the
+C(n,p) images D(X_P) and the C(n,q) images D(wbar_Q).  These are computed
+once through ``dbar`` and the derivation expansion ``_ad_image`` and
+memoized per (operator, element, side, degree), each coefficient stored
+beside its negation.  A column is then a merge of each D(X_P) term's forms
+with Q and of P with each D(wbar_Q) term's vectors, followed by a row
+lookup; entries are added only where the two parts share a row.
+
 The two conventions above are pinned by golden tests: on every 2-step
 algebra they reproduce [X_j, rho_bar] = -sum_i conj(E_{ji}) wbar^i and, on
 the degenerate-pairing family, dbar(T_{2k+2}) = -1/2 wbar^{2k+1} ^ V
@@ -181,9 +194,6 @@ class GradedElement:
         (dp, dq), = degs
         return (p is None or dp == p) and (q is None or dq == q)
 
-    def homogeneous_part(self, p: int, q: int) -> "GradedElement":
-        return GradedElement({m: c for m, c in self._terms.items() if m.bidegree == (p, q)})
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -325,6 +335,7 @@ class ExteriorComplex:
         self._bases: Dict[Tuple[int, int], Tuple[Monomial, ...]] = {}
         self._basis_index: Dict[Tuple[int, int], Dict[Monomial, int]] = {}
         self._blocks: dict = {}   # (kind, p, q[, key]) -> OperatorMatrix; genbr keys -> images
+        self._images_memo: dict = {}   # (kind, key, side, degree) -> per-monomial image terms
 
     # -- canonical bases ---------------------------------------------------
 
@@ -531,6 +542,32 @@ class ExteriorComplex:
 
     # -- block assembly ----------------------------------------------------------
 
+    def _images(self, kind: str, element: Optional[GradedElement], side: str,
+                degree: int) -> Tuple[Tuple[tuple, ...], ...]:
+        """D(X_P) (side "vec") or D(wbar_Q) (side "form") for every P or Q of one degree.
+
+        One entry per index tuple, in ``combinations`` order; each entry
+        lists the image's terms as (vec, form, coeff, -coeff).  Memoized
+        per (kind, element, side, degree).
+        """
+        key = (kind, None if element is None else element.cache_key(), side, degree)
+        cached = self._images_memo.get(key)
+        if cached is not None:
+            return cached
+        if kind == "ad":
+            images = self._generator_brackets(element)
+            flip = bool((sum(element.bidegree() or (0, 0)) - 1) % 2)
+        table = []
+        for indices in combinations(range(1, self.n + 1), degree):
+            mono = Monomial(indices, ()) if side == "vec" else Monomial((), indices)
+            if kind == "dbar":
+                image = self.dbar(GradedElement.monomial(mono))
+            else:
+                image = self._ad_image(images, flip, mono)
+            table.append(tuple((m.vec, m.form, c, -c) for m, c in image.terms()))
+        cached = self._images_memo[key] = tuple(table)
+        return cached
+
     def operator_block(self, kind: str, p: int, q: int,
                        element: Optional[GradedElement] = None) -> OperatorMatrix:
         """The operator matrix B^{p,q} -> target in canonical bases.
@@ -556,22 +593,49 @@ class ExteriorComplex:
         if key in self._blocks:
             return self._blocks[key]
 
-        source_basis = self.basis(p, q)
+        n_cols = self.block_dim(p, q)
         target_index = self.basis_index(*target)
         entries: Dict[Tuple[int, int], GaussianRational] = {}
-        if kind == "ad":
-            images = self._generator_brackets(element)
-            degree = sum(element.bidegree() or (0, 0))
-            flip = bool((degree - 1) % 2)
-        for col, mono in enumerate(source_basis):
+        if n_cols:
+            forms = tuple(combinations(range(1, self.n + 1), q))
+            vec_images = self._images(kind, element, "vec", p)
             if kind == "dbar":
-                image = self.dbar(GradedElement.monomial(mono))
+                form_images = ((),) * len(forms)        # dbar(wbar_Q) = 0
+                hop = False
             else:
-                image = self._ad_image(images, flip, mono)
-            for out_mono, coeff in image.terms():
-                entries[(target_index[out_mono], col)] = coeff
+                form_images = self._images(kind, element, "form", q)
+                hop = bool((sum(deg or (0, 0)) - 1) * p % 2)
+            # columns run in basis(p, q) order: P outer, Q inner.  target_index
+            # is keyed by Monomial, a tuple subclass, so a plain (vec, form)
+            # tuple finds the same row
+            col = 0
+            for vec, vec_terms in zip(combinations(range(1, self.n + 1), p), vec_images):
+                for form, form_terms in zip(forms, form_images):
+                    # D(X_P) ^ wbar_Q
+                    for v, f, c, neg in vec_terms:
+                        merged = _merge_ascending(f, form)
+                        if merged is not None:
+                            entries[(target_index[(v, merged[0])], col)] = (
+                                c if merged[1] > 0 else neg)
+                    # (-1)^{(|E|-1)|P|} X_P ^ D(wbar_Q)
+                    for v, f, c, neg in form_terms:
+                        merged = _merge_ascending(vec, v)
+                        if merged is None:
+                            continue
+                        cell = (target_index[(merged[0], f)], col)
+                        value = c if (merged[1] > 0) != hop else neg
+                        prior = entries.get(cell)
+                        if prior is None:
+                            entries[cell] = value
+                        else:
+                            value = prior + value
+                            if value:
+                                entries[cell] = value
+                            else:
+                                del entries[cell]
+                    col += 1
         block = OperatorMatrix(
             source=(p, q), target=target,
-            matrix=SparseMatrix(len(target_index), len(source_basis), entries))
+            matrix=SparseMatrix(len(target_index), n_cols, entries))
         self._blocks[key] = block
         return block

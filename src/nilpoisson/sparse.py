@@ -52,22 +52,6 @@ class SparseMatrix:
         return cls(n, n, {(i, i): ONE for i in range(n)})
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "SparseMatrix":
-        return cls(rows, cols)
-
-    @classmethod
-    def from_dense(cls, rows: Sequence[Sequence[GaussianRational]],
-                   cols: Optional[int] = None) -> "SparseMatrix":
-        n_rows = len(rows)
-        n_cols = cols if cols is not None else (len(rows[0]) if rows else 0)
-        entries = {}
-        for r, row in enumerate(rows):
-            for c, value in enumerate(row):
-                if value:
-                    entries[(r, c)] = value
-        return cls(n_rows, n_cols, entries)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Mapping[int, GaussianRational]],
                      rows: int) -> "SparseMatrix":
         entries = {}
@@ -134,10 +118,6 @@ class SparseMatrix:
             elif key in out:
                 del out[key]
         return SparseMatrix(self.rows, self.cols, out)
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows,
-                            {(c, r): v for (r, c), v in self.entries.items()})
 
     def is_zero(self) -> bool:
         return not self.entries

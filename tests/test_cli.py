@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from nilpoisson.cli import main
 
 
@@ -94,6 +96,25 @@ def test_deform_reports_kernel(capsys):
     payload = json.loads(out)
     assert payload["k1_kernel_dim"] == 4
     assert "delta" not in payload or True
+
+
+def test_deform_rejects_a_non_poisson_lambda(capsys):
+    code, _, err = run_cli(capsys, "deform", "w4n6:0", "--poisson", "T1^T2",
+                           "--omega", "rho_bar^w1_bar")
+    assert code == 1
+    assert "dbar(Lambda)" in err
+
+
+def test_deform_lets_internal_value_errors_escape(monkeypatch):
+    """Only input errors map to exit 1; an internal ValueError is a bug."""
+    from nilpoisson import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("shape mismatch")
+
+    monkeypatch.setattr(cli, "deformed_complex", broken)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        main(["deform", "w4n6:0", "--poisson", "V^T2", "--omega", "rho_bar^w1_bar"])
 
 
 def test_unknown_label_is_an_input_error(capsys):

@@ -20,6 +20,7 @@ from nilpoisson import (AlgebraSpec, CenterDimensionError, ExteriorComplex,
 from nilpoisson.catalog import (double_heisenberg, heisenberg_ext, p_family, torus,
                                 w_family)
 from nilpoisson.cohomology import NotIntegrable, ObstructionInputError
+from nilpoisson.exterior import PoissonError
 from nilpoisson.rationals import gauss
 
 HALF = Fraction(1, 2)
@@ -388,6 +389,13 @@ def test_deformation_rejects_non_integrable(w6_complex):
     assert w6_complex.schouten(lam, omega)
     with pytest.raises(NotIntegrable):
         deformed_complex(w6_complex, lam, omega)
+
+
+@pytest.mark.parametrize("lam", [wedge(V(1), V(2)), wedge(V(1), F(1))],
+                         ids=["not-holomorphic", "not-a-bivector"])
+def test_deformation_validates_lambda(w6_complex, lam):
+    with pytest.raises(PoissonError):
+        deformed_complex(w6_complex, lam, wedge(F(1), F(2)))
 
 
 def test_deformation_bidegree_check(w6_complex):

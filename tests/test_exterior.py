@@ -15,12 +15,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nilpoisson import AlgebraSpec, ExteriorComplex, GradedElement, Monomial, wedge
 from nilpoisson.catalog import (double_heisenberg, heisenberg_ext, p_family, torus,
                                 w_family)
 from nilpoisson.exterior import NotBidegree, NotHolomorphic, monomial_wedge
-from nilpoisson.rationals import gauss
+from nilpoisson.rationals import GaussianRational, gauss
+from nilpoisson.sparse import SparseMatrix
 
 HALF = Fraction(1, 2)
 
@@ -400,3 +403,86 @@ def test_layer_bracket_constraints(cx):
             for i in a_layer:
                 for m in h_layer:
                     assert not cx.schouten(GradedElement.vector(i), GradedElement.form(m))
+
+
+# -- factorised assembly against a column-by-column oracle --------------------
+
+
+def _oracle_block(cx, kind, p, q, element=None):
+    """The block built one source monomial at a time through dbar / schouten."""
+    block = cx.operator_block(kind, p, q, element)
+    index = cx.basis_index(*block.target)
+    entries = {}
+    for col, mono in enumerate(cx.basis(p, q)):
+        source = GradedElement.monomial(mono)
+        image = cx.dbar(source) if kind == "dbar" else cx.schouten(element, source)
+        for out_mono, coeff in image.terms():
+            entries[(index[out_mono], col)] = coeff
+    return SparseMatrix(len(index), len(cx.basis(p, q)), entries)
+
+
+def _assert_blocks_match_oracle(cx, elements):
+    for p in range(cx.n + 1):
+        for q in range(cx.n + 1):
+            block = cx.operator_block("dbar", p, q)
+            assert block.source == (p, q) and block.target == (p, q + 1)
+            assert block.matrix == _oracle_block(cx, "dbar", p, q), ("dbar", p, q)
+            for element in elements:
+                a, b = element.bidegree()
+                block = cx.operator_block("ad", p, q, element)
+                assert block.target == (p + a - 1, q + b)
+                assert block.matrix == _oracle_block(cx, "ad", p, q, element), (element, p, q)
+
+
+def _bracket_elements(rng, cx):
+    """One random element each of bidegree (2,0), (0,2) and (1,1)."""
+    out = []
+    for p, q in ((2, 0), (0, 2), (1, 1)):
+        element = _random_homogeneous(rng, cx, p, q, terms=3)
+        if element:
+            out.append(element)
+    return out
+
+
+_SMALL_CATALOG = {
+    "torus:2": lambda: torus(2),
+    "heisenberg-ext:1": lambda: heisenberg_ext(1),
+    "heisenberg-ext:2": lambda: heisenberg_ext(2),
+    "double-heisenberg:1,1": lambda: double_heisenberg(1, 1),
+    "p4n2:1": lambda: p_family(1),
+    "w4n6:0": lambda: w_family(0),
+    "w4n6:1": lambda: w_family(1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_CATALOG))
+def test_operator_blocks_match_columnwise_oracle_on_catalog(name):
+    cx = ExteriorComplex(_SMALL_CATALOG[name]())
+    _assert_blocks_match_oracle(cx, _bracket_elements(random.Random(name), cx))
+
+
+def test_operator_blocks_match_columnwise_oracle_on_three_step(three_step_complex):
+    cx = three_step_complex
+    _assert_blocks_match_oracle(cx, _bracket_elements(random.Random(3), cx))
+
+
+_small_scalars = st.builds(GaussianRational,
+                           st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def _two_step_complexes(draw):
+    """Random 2-step algebra: [Xbar_k, X_j] = E_kj V with V = X_n central."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    constants = {(k, j, n): draw(_small_scalars)
+                 for k in range(1, n) for j in range(1, n)}
+    labels = tuple(f"T{i}" for i in range(1, n)) + ("V",)
+    return ExteriorComplex(AlgebraSpec("random-2step", n, labels, constants))
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cx=_two_step_complexes(), seed=st.integers(min_value=0, max_value=2**16))
+def test_operator_blocks_match_columnwise_oracle_on_random_two_step(cx, seed):
+    _assert_blocks_match_oracle(cx, _bracket_elements(random.Random(seed), cx))

@@ -32,7 +32,7 @@ def test_rank_1x1_imaginary():
 
 
 def test_kernel_zero_matrix():
-    assert len(kernel_basis(SparseMatrix.zeros(2, 3))) == 3
+    assert len(kernel_basis(SparseMatrix(2, 3))) == 3
 
 
 def test_kernel_identity():
