@@ -234,6 +234,17 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of --max-degree: a negative cap is an input error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nilpoisson",
                      description="Holomorphic Poisson cohomology of nilpotent Lie "
@@ -252,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full cohomology report")
     p.add_argument("target")
     p.add_argument("--poisson", help="Poisson bivector expression, e.g. \"V^T2\"")
-    p.add_argument("--max-degree", type=int, default=None,
+    p.add_argument("--max-degree", type=_non_negative_int, default=None,
                    help="highest total degree to compute (default min(dim L, 6))")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_analyze)
@@ -267,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("--poisson", required=True)
     p.add_argument("--omega", required=True, help="(0,2) class, e.g. \"rho_bar^w1_bar\"")
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_non_negative_int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_deform)
     return parser

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import CenterDimensionError
+from .algebra import CenterDimensionError, StructureReport
 from .exterior import ExteriorComplex, GradedElement, Monomial, wedge
 from .rationals import ZERO, GaussianRational
 from .sparse import SparseMatrix, SpanBuilder, kernel_vectors, rank, solve
@@ -214,6 +214,14 @@ class ObstructionResult:
         return total
 
 
+def _in_top_layer(report: StructureReport, t: GradedElement) -> bool:
+    """Whether the (1,0) vector t lies in the t_{k-1} layer (k = step >= 2)."""
+    span = SpanBuilder()
+    for vec in report.t_layers[report.step - 2]:
+        span.add({i: v for i, v in enumerate(vec) if v})
+    return span.contains({mono.vec[0] - 1: c for mono, c in t.terms()})
+
+
 def obstruction(cx: ExteriorComplex, v_index: int, t: GradedElement) -> ObstructionResult:
     """Solve ad_{V^T}(rho_bar) = dbar X for X in t^{1,0}.
 
@@ -236,14 +244,7 @@ def obstruction(cx: ExteriorComplex, v_index: int, t: GradedElement) -> Obstruct
 
     if t and not t.is_homogeneous(1, 0):
         raise ObstructionInputError("T must be a (1,0) vector")
-    t_coords: Dict[int, GaussianRational] = {}
-    for mono, coeff in t.terms():
-        t_coords[mono.vec[0] - 1] = coeff
-    layer = report.t_layers[report.step - 2]
-    span = SpanBuilder()
-    for vec in layer:
-        span.add({i: v for i, v in enumerate(vec) if v})
-    if not span.contains(t_coords):
+    if not _in_top_layer(report, t):
         raise ObstructionInputError(
             f"T is not inside the t_{report.step - 1} layer")
 
@@ -468,14 +469,7 @@ def _detect_center_wedge(cx: ExteriorComplex, lam: GradedElement):
             t = t + GradedElement.vector(mono.vec[0], -coeff)
     if wedge(GradedElement.vector(v_index), t) != lam:
         return None
-    if report.step < 2:
-        return None
-    layer = report.t_layers[report.step - 2]
-    span = SpanBuilder()
-    for vec in layer:
-        span.add({i: v for i, v in enumerate(vec) if v})
-    t_coords = {mono.vec[0] - 1: c for mono, c in t.terms()}
-    if not span.contains(t_coords):
+    if report.step < 2 or not _in_top_layer(report, t):
         return None
     return v_index, t
 

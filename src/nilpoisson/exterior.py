@@ -8,31 +8,39 @@ anticommute and the bidegree of a monomial is (|P|, |Q|).
 graded operators as exact sparse matrices per bidegree block:
 
 * ``dbar`` -- on generators, dbar(wbar^m) = 0 and
-  dbar(X_j) = sum_{k,m} A^m_{kj} wbar^k ^ X_m, extended by the graded
-  Leibniz rule dbar(a^b) = dbar(a)^b + (-1)^|a| a^dbar(b);
+  dbar(X_j) = sum_{k,m} A^m_{kj} wbar^k ^ X_m;
 * ``schouten`` -- the graded bracket with generator rules
   [X_i, X_j] = 0, [wbar^i, wbar^j] = 0 and
-  [X_i, wbar^m] = -sum_b conj(A^m_{ib}) wbar^b, extended by graded
-  antisymmetry [b,a] = -(-1)^{(|a|-1)(|b|-1)}[a,b] and the graded Leibniz
-  rule [a, b^c] = [a,b]^c + (-1)^{(|a|-1)|b|} b^[a,c];
+  [X_i, wbar^m] = -sum_b conj(A^m_{ib}) wbar^b = -[wbar^m, X_i];
 * ``operator_block`` -- the matrix of dbar or ad_Lambda restricted to a
   bidegree block in the canonical monomial bases, memoized per
   (kind, block, multivector).
 
-Blocks are assembled factorised.  Both operators are graded derivations
-and dbar(wbar) = 0, so for D = dbar or D = ad_E with E homogeneous,
+Both operators are graded derivations, fixed by their values on the 2n
+generators, and one routine, ``_derive``, applies either: a monomial
+g_1 ^ ... ^ g_k maps to the sum over positions of
+(-1)^{pos if odd} g_1..g_{pos-1} ^ D(g_pos) ^ g_{pos+1}..g_k.  The
+generator images of dbar and of every ad_g (the rows of the bracket table
+above) are built once from the structure constants.  dbar is odd.  For E
+of one degree parity, ad_E = [E, -] has odd = (|E|-1) mod 2 and images
+[E, g] = -[g, E], where [g, E] is the even derivation ad_g applied to E;
+the pair (images, odd) is memoized per E, and ``schouten`` splits its
+first argument by degree parity.  Expanding this way is the graded
+Leibniz rule [a, b^c] = [a,b]^c + (-1)^{(|a|-1)|b|} b^[a,c] together
+with graded antisymmetry [b,a] = -(-1)^{(|a|-1)(|b|-1)}[a,b].
 
-    D(X_P ^ wbar_Q) = D(X_P) ^ wbar_Q + (-1)^{(|E|-1)|P|} X_P ^ D(wbar_Q),
+Blocks are assembled factorised.  For D = dbar or D = ad_E,
 
-where the second term vanishes for dbar.  A block therefore needs only the
-C(n,p) images D(X_P) and the C(n,q) images D(wbar_Q).  These are computed
-once through ``dbar`` and the derivation expansion ``_ad_image`` and
-memoized per (operator, element, side, degree), each coefficient stored
-beside its negation.  A column is then a merge of each D(X_P) term's forms
-with Q and of P with each D(wbar_Q) term's vectors, followed by a row
-lookup; entries are added only where the two parts share a row.
+    D(X_P ^ wbar_Q) = D(X_P) ^ wbar_Q + (-1)^{|P| if odd} X_P ^ D(wbar_Q),
 
-The two conventions above are pinned by golden tests: on every 2-step
+so a block needs only the C(n,p) images D(X_P) and the C(n,q) images
+D(wbar_Q) (all zero for dbar).  These are memoized per (operator, side,
+degree), each coefficient stored beside its negation.  A column is then a
+merge of each D(X_P) term's forms with Q and of P with each D(wbar_Q)
+term's vectors, followed by a row lookup; entries are added only where
+the two parts share a row.
+
+The conventions above are pinned by golden tests: on every 2-step
 algebra they reproduce [X_j, rho_bar] = -sum_i conj(E_{ji}) wbar^i and, on
 the degenerate-pairing family, dbar(T_{2k+2}) = -1/2 wbar^{2k+1} ^ V
 coefficient-exactly.
@@ -143,10 +151,6 @@ class GradedElement:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "GradedElement":
-        return cls()
-
-    @classmethod
     def vector(cls, index: int, coeff: Coefficient = 1) -> "GradedElement":
         return cls({Monomial((index,), ()): _as_scalar(coeff)})
 
@@ -169,9 +173,6 @@ class GradedElement:
 
     def sorted_terms(self) -> List[Tuple[Monomial, GaussianRational]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0])
-
-    def coefficient(self, mono: Monomial) -> GaussianRational:
-        return self._terms.get(mono, ZERO)
 
     def bidegrees(self) -> set:
         return {mono.bidegree for mono in self._terms}
@@ -237,10 +238,6 @@ class GradedElement:
     def wedge(self, other: "GradedElement") -> "GradedElement":
         return wedge(self, other)
 
-    def __xor__(self, other: "GradedElement") -> "GradedElement":
-        # mind the precedence: parenthesize (a ^ b) in compound expressions
-        return wedge(self, other)
-
     def __eq__(self, other):
         if not isinstance(other, GradedElement):
             return NotImplemented
@@ -290,11 +287,13 @@ def wedge(a: GradedElement, b: GradedElement) -> GradedElement:
     return out
 
 
-def _split_first(mono: Monomial) -> Tuple[Monomial, Monomial]:
-    """First generator and the remainder, both canonical (sign +1)."""
-    if mono.vec:
-        return Monomial((mono.vec[0],), ()), Monomial(mono.vec[1:], mono.form)
-    return Monomial((), (mono.form[0],)), Monomial((), mono.form[1:])
+# a generator: ("v", j) for X_j, ("f", m) for wbar^m
+Generator = Tuple[str, int]
+
+
+def _accumulate(images: Dict[Generator, GradedElement], generator: Generator,
+                mono: Monomial, coeff: GaussianRational) -> None:
+    images[generator] = images.get(generator, GradedElement()) + GradedElement.monomial(mono, coeff)
 
 
 @dataclass(frozen=True)
@@ -330,12 +329,25 @@ class ExteriorComplex:
         self.report = report if report is not None else validate(spec)
         self.n = spec.n
         self.dim_l = 2 * spec.n
-        self._dbar_vec: Dict[int, GradedElement] = {}
-        self._vec_form: Dict[Tuple[int, int], GradedElement] = {}
         self._bases: Dict[Tuple[int, int], Tuple[Monomial, ...]] = {}
         self._basis_index: Dict[Tuple[int, int], Dict[Monomial, int]] = {}
-        self._blocks: dict = {}   # (kind, p, q[, key]) -> OperatorMatrix; genbr keys -> images
-        self._images_memo: dict = {}   # (kind, key, side, degree) -> per-monomial image terms
+        self._blocks: Dict[tuple, OperatorMatrix] = {}   # (kind, p, q[, key])
+        self._images_memo: dict = {}   # (key, side, degree) -> per-monomial image terms
+        # the generator table: dbar(X_j), and the row of nonzero brackets
+        # [g, h] of each generator g, read as the images of ad_g
+        dbar_images: Dict[Generator, GradedElement] = {}
+        self._bracket_rows: Dict[Generator, Dict[Generator, GradedElement]] = {}
+        for (k, j, m), value in spec.constants.items():
+            # A^m_{kj} wbar^k ^ X_m = -A^m_{kj} X_m ^ wbar^k
+            _accumulate(dbar_images, ("v", j), Monomial((m,), (k,)), -value)
+            # [X_k, wbar^m] gains -conj(A^m_{kj}) wbar^j, and [wbar^m, X_k] its negation
+            bracket = value.conjugate()
+            _accumulate(self._bracket_rows.setdefault(("v", k), {}), ("f", m),
+                        Monomial((), (j,)), -bracket)
+            _accumulate(self._bracket_rows.setdefault(("f", m), {}), ("v", k),
+                        Monomial((), (j,)), bracket)
+        # element cache_key (None for dbar) -> (generator images, odd)
+        self._derivations: dict = {None: (dbar_images, True)}
 
     # -- canonical bases ---------------------------------------------------
 
@@ -375,156 +387,66 @@ class ExteriorComplex:
             out[index[mono]] = coeff
         return out
 
-    def from_coordinates(self, coords, p: int, q: int) -> GradedElement:
-        base = self.basis(p, q)
-        if isinstance(coords, dict):
-            items = coords.items()
-        else:
-            items = enumerate(coords)
-        return GradedElement({base[i]: _as_scalar(c) for i, c in items if c})
+    # -- graded derivations ------------------------------------------------------
 
-    # -- generator images ----------------------------------------------------
+    def _derivation(self, element: Optional[GradedElement]
+                    ) -> Tuple[Dict[Generator, GradedElement], bool]:
+        """(generator images, odd) of dbar (element None) or of [element, -].
 
-    def dbar_vector(self, j: int) -> GradedElement:
-        """dbar(X_j) = sum_{k,m} A^m_{kj} wbar^k ^ X_m (canonicalized)."""
-        if j not in self._dbar_vec:
-            terms: Dict[Monomial, GaussianRational] = {}
-            for (k, jj, m), value in self.spec.constants.items():
-                if jj != j:
+        ``element`` must have one degree parity.  Its images are
+        [element, g] = -[g, element], each [g, element] the even derivation
+        ad_g applied to element.  Memoized per element.
+        """
+        key = None if element is None else element.cache_key()
+        pair = self._derivations.get(key)
+        if pair is None:
+            images = {}
+            for generator, row in self._bracket_rows.items():
+                image = self._derive(row, False, element)
+                if image:
+                    images[generator] = -image
+            odd = any((mono.degree - 1) % 2 for mono, _ in element.terms())
+            pair = self._derivations[key] = (images, odd)
+        return pair
+
+    @staticmethod
+    def _derive(images: Dict[Generator, GradedElement], odd: bool,
+                element: GradedElement) -> GradedElement:
+        """The graded derivation with the given generator images, applied to element.
+
+        Each monomial g_1 ^ ... ^ g_k maps to the sum over positions of
+        (-1)^{pos if odd} g_1..g_{pos-1} ^ image(g_pos) ^ g_{pos+1}..g_k.
+        """
+        total = GradedElement()
+        for mono, coeff in element.terms():
+            n_vec = len(mono.vec)
+            for pos in range(mono.degree):
+                if pos < n_vec:
+                    image = images.get(("v", mono.vec[pos]))
+                    prefix = Monomial(mono.vec[:pos], ())
+                    suffix = Monomial(mono.vec[pos + 1:], mono.form)
+                else:
+                    r = pos - n_vec
+                    image = images.get(("f", mono.form[r]))
+                    prefix = Monomial(mono.vec, mono.form[:r])
+                    suffix = Monomial((), mono.form[r + 1:])
+                if image is None:
                     continue
-                # wbar^k ^ X_m = -(X_m ^ wbar^k)
-                mono = Monomial((m,), (k,))
-                acc = terms.get(mono, ZERO) - value
-                if acc:
-                    terms[mono] = acc
-                elif mono in terms:
-                    del terms[mono]
-            self._dbar_vec[j] = GradedElement(terms)
-        return self._dbar_vec[j]
-
-    def bracket_vector_form(self, i: int, m: int) -> GradedElement:
-        """[X_i, wbar^m] = -sum_b conj(A^m_{ib}) wbar^b."""
-        key = (i, m)
-        if key not in self._vec_form:
-            terms: Dict[Monomial, GaussianRational] = {}
-            for (k, b, mm), value in self.spec.constants.items():
-                if k != i or mm != m:
-                    continue
-                mono = Monomial((), (b,))
-                acc = terms.get(mono, ZERO) - value.conjugate()
-                if acc:
-                    terms[mono] = acc
-                elif mono in terms:
-                    del terms[mono]
-            self._vec_form[key] = GradedElement(terms)
-        return self._vec_form[key]
-
-    # -- the differential ------------------------------------------------------
+                head = GradedElement.monomial(prefix, -coeff if odd and pos % 2 else coeff)
+                total = total + wedge(wedge(head, image), GradedElement.monomial(suffix))
+        return total
 
     def dbar(self, element: GradedElement) -> GradedElement:
         """Graded Leibniz extension of the generator images; (p,q) -> (p,q+1)."""
-        total = GradedElement()
-        for mono, coeff in element.terms():
-            for pos, j in enumerate(mono.vec):
-                image = self.dbar_vector(j)
-                if not image:
-                    continue
-                prefix = GradedElement.monomial(Monomial(mono.vec[:pos], ()),
-                                                coeff if pos % 2 == 0 else -coeff)
-                suffix = GradedElement.monomial(Monomial(mono.vec[pos + 1:], mono.form))
-                total = total + wedge(wedge(prefix, image), suffix)
-            # form generators are dbar-closed: no contribution
-        return total
-
-    # -- the Schouten bracket ----------------------------------------------------
+        return self._derive(*self._derivation(None), element)
 
     def schouten(self, a: GradedElement, b: GradedElement) -> GradedElement:
         """Graded bracket; lowers total degree by 1."""
         total = GradedElement()
-        for ma, ca in a.terms():
-            for mb, cb in b.terms():
-                piece = self._schouten_mono(ma, mb)
-                if piece:
-                    total = total + piece * (ca * cb)
-        return total
-
-    def _schouten_mono(self, ma: Monomial, mb: Monomial) -> GradedElement:
-        da, db = ma.degree, mb.degree
-        if da == 0 or db == 0:
-            return GradedElement()
-        if da == 1 and db == 1:
-            a_vec, b_vec = bool(ma.vec), bool(mb.vec)
-            if a_vec and b_vec:
-                return GradedElement()    # abelian: vector fields commute
-            if not a_vec and not b_vec:
-                return GradedElement()    # forms bracket to zero
-            if a_vec:
-                return self.bracket_vector_form(ma.vec[0], mb.form[0])
-            # [form, vector] = -[vector, form] (degree-1 antisymmetry)
-            return -self.bracket_vector_form(mb.vec[0], ma.form[0])
-        if db >= 2:
-            # [a, h^rest] = [a,h]^rest + (-1)^{(|a|-1)|h|} h^[a,rest], |h| = 1
-            head, rest = _split_first(mb)
-            first = wedge(self._schouten_mono(ma, head), GradedElement.monomial(rest))
-            second = wedge(GradedElement.monomial(head), self._schouten_mono(ma, rest))
-            if (da - 1) % 2:
-                second = -second
-            return first + second
-        # da >= 2, db == 1: [a,b] = -(-1)^{(|a|-1)(|b|-1)} [b,a] with |b|-1 = 0
-        return -self._schouten_mono(mb, ma)
-
-    # The Leibniz rule makes [element, -] a graded derivation; expanding it
-    # over the generator positions of a monomial gives the same bracket as
-    # the recursion above in one pass.  Block assembly uses this path with
-    # the 2n generator brackets precomputed; tests pin the two routes to
-    # each other.
-
-    def _generator_brackets(self, element: GradedElement) -> Dict[Tuple[str, int], GradedElement]:
-        key = ("genbr", element.cache_key())
-        cached = self._blocks.get(key)
-        if cached is None:
-            images: Dict[Tuple[str, int], GradedElement] = {}
-            for i in range(1, self.n + 1):
-                image = self.schouten(element, GradedElement.vector(i))
-                if image:
-                    images[("v", i)] = image
-                image = self.schouten(element, GradedElement.form(i))
-                if image:
-                    images[("f", i)] = image
-            self._blocks[key] = images
-            return images
-        return cached
-
-    @staticmethod
-    def _split_at(mono: Monomial, position: int):
-        """(prefix, generator key, suffix) at a 0-based generator position."""
-        n_vec = len(mono.vec)
-        if position < n_vec:
-            return (Monomial(mono.vec[:position], ()),
-                    ("v", mono.vec[position]),
-                    Monomial(mono.vec[position + 1:], mono.form))
-        r = position - n_vec
-        return (Monomial(mono.vec, mono.form[:r]),
-                ("f", mono.form[r]),
-                Monomial((), mono.form[r + 1:]))
-
-    def _ad_image(self, images: Dict[Tuple[str, int], GradedElement], flip: bool,
-                  mono: Monomial) -> GradedElement:
-        """[element, mono] via the derivation expansion.
-
-        ``flip`` is ((degree of element) - 1) mod 2: the sign each generator
-        hop contributes.
-        """
-        total = GradedElement()
-        for position in range(mono.degree):
-            prefix, generator, suffix = self._split_at(mono, position)
-            image = images.get(generator)
-            if image is None:
-                continue
-            coeff = GaussianRational(-1 if (flip and position % 2) else 1)
-            piece = wedge(wedge(GradedElement.monomial(prefix, coeff), image),
-                          GradedElement.monomial(suffix))
-            total = total + piece
+        for parity in (0, 1):
+            part = GradedElement({m: c for m, c in a.terms() if m.degree % 2 == parity})
+            if part:
+                total = total + self._derive(*self._derivation(part), b)
         return total
 
     # -- Poisson validation --------------------------------------------------------
@@ -542,28 +464,24 @@ class ExteriorComplex:
 
     # -- block assembly ----------------------------------------------------------
 
-    def _images(self, kind: str, element: Optional[GradedElement], side: str,
+    def _images(self, element: Optional[GradedElement], side: str,
                 degree: int) -> Tuple[Tuple[tuple, ...], ...]:
         """D(X_P) (side "vec") or D(wbar_Q) (side "form") for every P or Q of one degree.
 
-        One entry per index tuple, in ``combinations`` order; each entry
-        lists the image's terms as (vec, form, coeff, -coeff).  Memoized
-        per (kind, element, side, degree).
+        D is dbar for element None and [element, -] otherwise.  One entry
+        per index tuple, in ``combinations`` order; each entry lists the
+        image's terms as (vec, form, coeff, -coeff).  Memoized per
+        (element, side, degree).
         """
-        key = (kind, None if element is None else element.cache_key(), side, degree)
+        key = (None if element is None else element.cache_key(), side, degree)
         cached = self._images_memo.get(key)
         if cached is not None:
             return cached
-        if kind == "ad":
-            images = self._generator_brackets(element)
-            flip = bool((sum(element.bidegree() or (0, 0)) - 1) % 2)
+        images, odd = self._derivation(element)
         table = []
         for indices in combinations(range(1, self.n + 1), degree):
             mono = Monomial(indices, ()) if side == "vec" else Monomial((), indices)
-            if kind == "dbar":
-                image = self.dbar(GradedElement.monomial(mono))
-            else:
-                image = self._ad_image(images, flip, mono)
+            image = self._derive(images, odd, GradedElement.monomial(mono))
             table.append(tuple((m.vec, m.form, c, -c) for m, c in image.terms()))
         cached = self._images_memo[key] = tuple(table)
         return cached
@@ -576,6 +494,7 @@ class ExteriorComplex:
         multivector of bidegree (a, b) and targets (p+a-1, q+b).
         """
         if kind == "dbar":
+            element = None
             target = (p, q + 1)
             key = ("dbar", p, q)
         elif kind == "ad":
@@ -598,13 +517,9 @@ class ExteriorComplex:
         entries: Dict[Tuple[int, int], GaussianRational] = {}
         if n_cols:
             forms = tuple(combinations(range(1, self.n + 1), q))
-            vec_images = self._images(kind, element, "vec", p)
-            if kind == "dbar":
-                form_images = ((),) * len(forms)        # dbar(wbar_Q) = 0
-                hop = False
-            else:
-                form_images = self._images(kind, element, "form", q)
-                hop = bool((sum(deg or (0, 0)) - 1) * p % 2)
+            vec_images = self._images(element, "vec", p)
+            form_images = self._images(element, "form", q)
+            hop = bool(self._derivation(element)[1] and p % 2)
             # columns run in basis(p, q) order: P outer, Q inner.  target_index
             # is keyed by Monomial, a tuple subclass, so a plain (vec, form)
             # tuple finds the same row
@@ -617,7 +532,7 @@ class ExteriorComplex:
                         if merged is not None:
                             entries[(target_index[(v, merged[0])], col)] = (
                                 c if merged[1] > 0 else neg)
-                    # (-1)^{(|E|-1)|P|} X_P ^ D(wbar_Q)
+                    # (-1)^{|P|} X_P ^ D(wbar_Q) when D is odd
                     for v, f, c, neg in form_terms:
                         merged = _merge_ascending(vec, v)
                         if merged is None:

@@ -51,16 +51,6 @@ class SparseMatrix:
         from .rationals import ONE
         return cls(n, n, {(i, i): ONE for i in range(n)})
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Mapping[int, GaussianRational]],
-                     rows: int) -> "SparseMatrix":
-        entries = {}
-        for c, col in enumerate(columns):
-            for r, value in col.items():
-                if value:
-                    entries[(r, c)] = value
-        return cls(rows, len(columns), entries)
-
     # -- access -----------------------------------------------------------
 
     def entry(self, r: int, c: int) -> GaussianRational:

@@ -117,6 +117,20 @@ def test_deform_lets_internal_value_errors_escape(monkeypatch):
         main(["deform", "w4n6:0", "--poisson", "V^T2", "--omega", "rho_bar^w1_bar"])
 
 
+@pytest.mark.parametrize("argv, degrees_key", [
+    (("analyze", "w4n6:0", "--poisson", "V^T1", "--json"), "hn_lambda"),
+    (("deform", "w4n6:0", "--poisson", "V^T2", "--omega", "rho_bar^w1_bar", "--json"), "dims"),
+])
+def test_negative_max_degree_is_an_input_error(capsys, argv, degrees_key):
+    code, out, err = run_cli(capsys, *argv, "--max-degree", "-1")
+    assert code == 1
+    assert out == ""
+    assert "--max-degree" in err and "non-negative" in err
+    code, out, _ = run_cli(capsys, *argv, "--max-degree", "0")
+    assert code == 0
+    assert list(json.loads(out)[degrees_key]) == ["0"]
+
+
 def test_unknown_label_is_an_input_error(capsys):
     code, _, err = run_cli(capsys, "analyze", "w4n6:0", "--poisson", "V^Q9")
     assert code == 1
