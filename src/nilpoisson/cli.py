@@ -28,8 +28,8 @@ from .algebra import AlgebraError, AlgebraSpec, StructureReport, validate
 from .catalog import (CatalogError, FAMILIES, SpecFormatError, catalog_names,
                       emit_spec, parse_catalog_name, parse_spec)
 from .cohomology import (CohomologyReport, ConsistencyError, DeformationError,
-                         ObstructionInputError, analyze, deformed_complex, first_page,
-                         obstruction)
+                         ObstructionInputError, analyze, check_obstruction_verdict,
+                         deformed_complex, first_page, obstruction)
 from .exterior import ExteriorComplex, GradedElement, PoissonError
 from .expressions import ExpressionContext, ExpressionError, format_multivector, parse_multivector
 from .rationals import MalformedRational
@@ -167,11 +167,7 @@ def _cmd_obstruction(args) -> int:
         raise InputError(str(exc)) from None
 
     lam = GradedElement.vector(report.center_indices[0]).wedge(t)
-    page = first_page(cx, lam)
-    degenerate_by_obstruction = result.kind in ("trivial_action", "solvable")
-    if degenerate_by_obstruction != page.degenerate:
-        raise ConsistencyError(
-            f"obstruction verdict {result.kind!r} disagrees with the computed d_1 table")
+    check_obstruction_verdict(cx, lam, result.kind, first_page(cx, lam))
 
     if args.json:
         solution = None

@@ -7,7 +7,10 @@ Everything here reduces to exact ranks of the memoized operator blocks:
   by brute-force rank computation -- the oracle every theorem-level claim is
   checked against;
 * the first page E_1^{p,q} = H^q(g^{p,0}) with the rank of the induced map
-  d_1 = ad_Lambda, and E_2 from those ranks;
+  d_1 = ad_Lambda, read off the two-row window of the total operator:
+  rank d_1^{p,q} = rank M - rank dbar|B^{p,q} - rank dbar|B^{p+1,q-1} with
+  M = dbar + ad_Lambda on B^{p,q} + B^{p+1,q-1} truncated to filtration rows
+  p and p+1; and E_2 from those ranks;
 * the degeneracy obstruction for Lambda = V ^ T: whether ad_Lambda(rho_bar)
   = dbar X is solvable with X in t^{1,0}, which for such Lambda is
   equivalent to first-page degeneracy and forces the Hodge-type dimension
@@ -25,10 +28,11 @@ can only mean an implementation bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import CenterDimensionError, StructureReport
-from .exterior import ExteriorComplex, GradedElement, Monomial, wedge
+from .expressions import ExpressionContext, format_multivector
+from .exterior import ExteriorComplex, GradedElement, Monomial, OperatorMatrix, wedge
 from .rationals import ZERO, GaussianRational
 from .sparse import SparseMatrix, SpanBuilder, kernel_vectors, rank, solve
 
@@ -75,42 +79,53 @@ def _degree_blocks(cx: ExteriorComplex, degree: int) -> List[Tuple[int, int]]:
             if degree - p <= cx.n]
 
 
+def _stitch(cx: ExteriorComplex, sources: Sequence[Tuple[int, int]],
+           targets: Sequence[Tuple[int, int]],
+           pieces: Iterable[OperatorMatrix]) -> SparseMatrix:
+    """One matrix from operator blocks placed at their block offsets.
+
+    Columns run over the source blocks in order and rows over the target
+    blocks; every piece must map one source block to one target block, and
+    pieces landing on the same cell add up.
+    """
+    def offsets(blocks):
+        out, total = {}, 0
+        for blk in blocks:
+            out[blk] = total
+            total += cx.block_dim(*blk)
+        return out, total
+
+    col_offset, n_cols = offsets(sources)
+    row_offset, n_rows = offsets(targets)
+    entries: Dict[Tuple[int, int], GaussianRational] = {}
+    for piece in pieces:
+        row_base, col_base = row_offset[piece.target], col_offset[piece.source]
+        for (r, c), value in piece.matrix.entries.items():
+            key = (row_base + r, col_base + c)
+            acc = entries.get(key, ZERO) + value
+            if acc:
+                entries[key] = acc
+            elif key in entries:
+                del entries[key]
+    return SparseMatrix(n_rows, n_cols, entries)
+
+
 def total_operator(cx: ExteriorComplex, summands: Sequence[GradedElement],
                    degree: int) -> SparseMatrix:
     """The matrix of dbar + sum of ad_(summand) on K^degree -> K^{degree+1}."""
-    source_blocks = _degree_blocks(cx, degree)
-    target_blocks = _degree_blocks(cx, degree + 1)
-    target_offset: Dict[Tuple[int, int], int] = {}
-    offset = 0
-    for blk in target_blocks:
-        target_offset[blk] = offset
-        offset += cx.block_dim(*blk)
-    n_rows = offset
-
-    entries: Dict[Tuple[int, int], GaussianRational] = {}
-    col_offset = 0
-    for (p, q) in source_blocks:
-        width = cx.block_dim(p, q)
-        pieces = [cx.operator_block("dbar", p, q)]
-        for element in summands:
-            if element:
-                pieces.append(cx.operator_block("ad", p, q, element))
-        for piece in pieces:
-            row_base = target_offset.get(piece.target)
-            if row_base is None:
-                if piece.matrix.entries:
-                    raise ConsistencyError(
-                        f"operator {piece.source}->{piece.target} escapes degree {degree + 1}")
-                continue
-            for (r, c), value in piece.matrix.entries.items():
-                key = (row_base + r, col_offset + c)
-                acc = entries.get(key, ZERO) + value
-                if acc:
-                    entries[key] = acc
-                elif key in entries:
-                    del entries[key]
-        col_offset += width
-    return SparseMatrix(n_rows, col_offset, entries)
+    sources = _degree_blocks(cx, degree)
+    targets = _degree_blocks(cx, degree + 1)
+    pieces = []
+    for (p, q) in sources:
+        operators = [cx.operator_block("dbar", p, q)]
+        operators += [cx.operator_block("ad", p, q, element) for element in summands if element]
+        for piece in operators:
+            if piece.target in targets:
+                pieces.append(piece)
+            elif piece.matrix.entries:
+                raise ConsistencyError(
+                    f"operator {piece.source}->{piece.target} escapes degree {degree + 1}")
+    return _stitch(cx, sources, targets, pieces)
 
 
 def total_cohomology(cx: ExteriorComplex, lam: GradedElement,
@@ -142,15 +157,15 @@ def first_page(cx: ExteriorComplex, lam: GradedElement,
                max_total: Optional[int] = None) -> FirstPage:
     """E_1 dimensions and the exact rank of every induced d_1 block.
 
-    The rank of d_1: E_1^{p,q} -> E_1^{p+1,q} is computed as
-    rank([image(dbar) | ad_Lambda(kernel basis)]) - rank(image(dbar)) over
-    B^{p+1,q}: lifting kernel representatives, applying ad_Lambda and
-    projecting modulo dbar-exact elements, without materializing quotient
-    bases.  ad_Lambda of a dbar-exact element is dbar-exact, so the span is
-    representative-independent.
+    With D = dbar|B^{p,q}, A = ad_Lambda|B^{p,q} and D' = dbar|B^{p+1,q-1},
+    the two-row window M = [[D, 0], [A, D']] of the total operator on
+    B^{p,q} + B^{p+1,q-1} has an image projecting onto im D, with kernel
+    A(ker D) + im D'.  So rank d_1^{p,q} = rank M - rank D - rank D', with
+    rank D and rank D' memoized on their blocks.  The ad piece leaving
+    B^{p+1,q-1} for filtration row p+2 lies outside the window and is left
+    out.
     """
     e1 = dolbeault_dims(cx, max_total)
-    cap = degree_cap(cx, max_total)
     d1_ranks: Dict[Tuple[int, int], int] = {}
     for (p, q) in e1:
         d1_ranks[(p, q)] = 0
@@ -159,26 +174,11 @@ def first_page(cx: ExteriorComplex, lam: GradedElement,
         ad_block = cx.operator_block("ad", p, q, lam)
         if ad_block.matrix.is_zero():
             continue
-        dbar_block = cx.operator_block("dbar", p, q)
-        image_block = cx.operator_block("dbar", p + 1, q - 1) if q > 0 else None
-        columns: Dict[Tuple[int, int], GaussianRational] = {}
-        n_cols = 0
-        if image_block is not None:
-            for (r, c), value in image_block.matrix.entries.items():
-                columns[(r, c)] = value
-            n_cols = image_block.matrix.cols
-        kernel = kernel_vectors(dbar_block.matrix)
-        for vec in kernel:
-            image = ad_block.matrix.apply(vec)
-            if image:
-                for r, value in image.items():
-                    columns[(r, n_cols)] = value
-                n_cols += 1
-        if not columns:
-            continue
-        combined = SparseMatrix(cx.block_dim(p + 1, q), n_cols, columns)
-        base_rank = image_block.rank() if image_block is not None else 0
-        d1_ranks[(p, q)] = rank(combined) - base_rank
+        dbar_blocks = [cx.operator_block("dbar", p + 1, q - 1)] if q > 0 else []
+        dbar_blocks.append(cx.operator_block("dbar", p, q))
+        window = _stitch(cx, [block.source for block in dbar_blocks],
+                         [(p + 1, q), (p, q + 1)], dbar_blocks + [ad_block])
+        d1_ranks[(p, q)] = rank(window) - sum(block.rank() for block in dbar_blocks)
     degenerate = all(v == 0 for v in d1_ranks.values())
     return FirstPage(e1=e1, d1_ranks=d1_ranks, degenerate=degenerate)
 
@@ -273,6 +273,24 @@ def obstruction(cx: ExteriorComplex, v_index: int, t: GradedElement) -> Obstruct
     unique = rank(system) == len(t_indices)
     return ObstructionResult(kind="solvable", t_indices=t_indices,
                              solution=tuple(x), unique=unique)
+
+
+def check_obstruction_verdict(cx: ExteriorComplex, lam: GradedElement, kind: str,
+                              page: FirstPage) -> bool:
+    """Whether the obstruction ``kind`` for lam = V ^ T says degenerate.
+
+    For such lam the obstruction is equivalent to first-page degeneracy,
+    so disagreeing with ``page`` raises :class:`ConsistencyError`.  An
+    unsolvable obstruction shows up as d_1 != 0 at (0,1), so the check
+    applies whenever the page reaches that block.
+    """
+    degenerate = kind in ("trivial_action", "solvable")
+    if (0, 1) in page.e1 and degenerate != page.degenerate:
+        rendered = format_multivector(lam, ExpressionContext(cx.spec, cx.report))
+        raise ConsistencyError(
+            f"{cx.spec.name}, Lambda = {rendered}: obstruction {kind!r} says "
+            f"degenerate={degenerate} but the d_1 table says degenerate={page.degenerate}")
+    return degenerate
 
 
 # -- Hodge verdict ----------------------------------------------------------------
@@ -506,14 +524,7 @@ def analyze(cx: ExteriorComplex, lam: Optional[GradedElement] = None,
         if result.solution is not None:
             obstruction_solution = {
                 cx.spec.label(i): v for i, v in zip(result.t_indices, result.solution) if v}
-        degenerate_by_obstruction = result.kind in ("trivial_action", "solvable")
-        # An unsolvable obstruction shows up as d_1 != 0 at (0,1); that block
-        # is inside the computed table whenever the degree cap reaches 1.
-        if cap >= 1 and degenerate_by_obstruction != page.degenerate:
-            raise ConsistencyError(
-                f"obstruction says degenerate={degenerate_by_obstruction} but the computed "
-                f"d_1 table says degenerate={page.degenerate}")
-        if degenerate_by_obstruction and not verdict.hodge:
+        if check_obstruction_verdict(cx, lam, result.kind, page) and not verdict.hodge:
             raise ConsistencyError(
                 "solvable obstruction without the Hodge-type dimension equality")
 

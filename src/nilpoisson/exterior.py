@@ -389,15 +389,15 @@ class ExteriorComplex:
 
     # -- graded derivations ------------------------------------------------------
 
-    def _derivation(self, element: Optional[GradedElement]
+    def _derivation(self, element: Optional[GradedElement], key
                     ) -> Tuple[Dict[Generator, GradedElement], bool]:
         """(generator images, odd) of dbar (element None) or of [element, -].
 
         ``element`` must have one degree parity.  Its images are
         [element, g] = -[g, element], each [g, element] the even derivation
-        ad_g applied to element.  Memoized per element.
+        ad_g applied to element.  Memoized per ``key``, the element's
+        ``cache_key()`` (None for dbar).
         """
-        key = None if element is None else element.cache_key()
         pair = self._derivations.get(key)
         if pair is None:
             images = {}
@@ -438,7 +438,7 @@ class ExteriorComplex:
 
     def dbar(self, element: GradedElement) -> GradedElement:
         """Graded Leibniz extension of the generator images; (p,q) -> (p,q+1)."""
-        return self._derive(*self._derivation(None), element)
+        return self._derive(*self._derivation(None, None), element)
 
     def schouten(self, a: GradedElement, b: GradedElement) -> GradedElement:
         """Graded bracket; lowers total degree by 1."""
@@ -446,7 +446,7 @@ class ExteriorComplex:
         for parity in (0, 1):
             part = GradedElement({m: c for m, c in a.terms() if m.degree % 2 == parity})
             if part:
-                total = total + self._derive(*self._derivation(part), b)
+                total = total + self._derive(*self._derivation(part, part.cache_key()), b)
         return total
 
     # -- Poisson validation --------------------------------------------------------
@@ -464,26 +464,26 @@ class ExteriorComplex:
 
     # -- block assembly ----------------------------------------------------------
 
-    def _images(self, element: Optional[GradedElement], side: str,
+    def _images(self, element: Optional[GradedElement], key, side: str,
                 degree: int) -> Tuple[Tuple[tuple, ...], ...]:
         """D(X_P) (side "vec") or D(wbar_Q) (side "form") for every P or Q of one degree.
 
         D is dbar for element None and [element, -] otherwise.  One entry
         per index tuple, in ``combinations`` order; each entry lists the
         image's terms as (vec, form, coeff, -coeff).  Memoized per
-        (element, side, degree).
+        (key, side, degree), ``key`` as in :meth:`_derivation`.
         """
-        key = (None if element is None else element.cache_key(), side, degree)
-        cached = self._images_memo.get(key)
+        memo_key = (key, side, degree)
+        cached = self._images_memo.get(memo_key)
         if cached is not None:
             return cached
-        images, odd = self._derivation(element)
+        images, odd = self._derivation(element, key)
         table = []
         for indices in combinations(range(1, self.n + 1), degree):
             mono = Monomial(indices, ()) if side == "vec" else Monomial((), indices)
             image = self._derive(images, odd, GradedElement.monomial(mono))
             table.append(tuple((m.vec, m.form, c, -c) for m, c in image.terms()))
-        cached = self._images_memo[key] = tuple(table)
+        cached = self._images_memo[memo_key] = tuple(table)
         return cached
 
     def operator_block(self, kind: str, p: int, q: int,
@@ -494,7 +494,7 @@ class ExteriorComplex:
         multivector of bidegree (a, b) and targets (p+a-1, q+b).
         """
         if kind == "dbar":
-            element = None
+            element = element_key = None
             target = (p, q + 1)
             key = ("dbar", p, q)
         elif kind == "ad":
@@ -505,7 +505,8 @@ class ExteriorComplex:
                 target = (p, q)  # ad_0 = 0; degenerate zero block
             else:
                 target = (p + deg[0] - 1, q + deg[1])
-            key = ("ad", p, q, element.cache_key())
+            element_key = element.cache_key()
+            key = ("ad", p, q, element_key)
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
 
@@ -517,9 +518,9 @@ class ExteriorComplex:
         entries: Dict[Tuple[int, int], GaussianRational] = {}
         if n_cols:
             forms = tuple(combinations(range(1, self.n + 1), q))
-            vec_images = self._images(element, "vec", p)
-            form_images = self._images(element, "form", q)
-            hop = bool(self._derivation(element)[1] and p % 2)
+            vec_images = self._images(element, element_key, "vec", p)
+            form_images = self._images(element, element_key, "form", q)
+            hop = bool(self._derivation(element, element_key)[1] and p % 2)
             # columns run in basis(p, q) order: P outer, Q inner.  target_index
             # is keyed by Monomial, a tuple subclass, so a plain (vec, form)
             # tuple finds the same row

@@ -26,7 +26,7 @@ Entry = Tuple[Tuple[int, int], GaussianRational]
 class SparseMatrix:
     """An immutable rows x cols matrix storing only nonzero entries."""
 
-    __slots__ = ("rows", "cols", "entries", "_columns")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int,
                  entries: Optional[Mapping[Tuple[int, int], GaussianRational]] = None):
@@ -42,7 +42,6 @@ class SparseMatrix:
                 if value:
                     clean[(r, c)] = value
         self.entries = clean
-        self._columns = None
 
     # -- constructors ----------------------------------------------------
 
@@ -55,30 +54,6 @@ class SparseMatrix:
 
     def entry(self, r: int, c: int) -> GaussianRational:
         return self.entries.get((r, c), ZERO)
-
-    def column_lists(self) -> List[List[Tuple[int, GaussianRational]]]:
-        """Per-column nonzero (row, value) lists, cached."""
-        if self._columns is None:
-            cols: List[List[Tuple[int, GaussianRational]]] = [[] for _ in range(self.cols)]
-            for (r, c), value in self.entries.items():
-                cols[c].append((r, value))
-            self._columns = cols
-        return self._columns
-
-    def apply(self, vector: Mapping[int, GaussianRational]) -> Dict[int, GaussianRational]:
-        """Matrix-vector product for a sparse coordinate vector."""
-        out: Dict[int, GaussianRational] = {}
-        columns = self.column_lists()
-        for c, coeff in vector.items():
-            if not coeff:
-                continue
-            for r, value in columns[c]:
-                acc = out.get(r, ZERO) + value * coeff
-                if acc:
-                    out[r] = acc
-                elif r in out:
-                    del out[r]
-        return out
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:

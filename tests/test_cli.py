@@ -95,7 +95,8 @@ def test_deform_reports_kernel(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["k1_kernel_dim"] == 4
-    assert "delta" not in payload or True
+    assert len(payload["k1_kernel"]) == payload["k1_kernel_dim"]
+    assert payload["dims"] == {"0": 1, "1": 4, "2": 9, "3": 12, "4": 9, "5": 4, "6": 1}
 
 
 def test_deform_rejects_a_non_poisson_lambda(capsys):
@@ -115,6 +116,32 @@ def test_deform_lets_internal_value_errors_escape(monkeypatch):
     monkeypatch.setattr(cli, "deformed_complex", broken)
     with pytest.raises(ValueError, match="shape mismatch"):
         main(["deform", "w4n6:0", "--poisson", "V^T2", "--omega", "rho_bar^w1_bar"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "w4n6:0", "--poisson", "V^T1"),
+    ("obstruction", "w4n6:0", "--t", "T1"),
+])
+def test_obstruction_disagreeing_with_the_first_page_exits_2(capsys, monkeypatch, argv):
+    """Both commands run one obstruction-vs-d_1 check with one message."""
+    import dataclasses
+
+    from nilpoisson import cli, cohomology
+
+    real = cohomology.first_page
+
+    def flipped(*args, **kwargs):
+        page = real(*args, **kwargs)
+        return dataclasses.replace(page, degenerate=not page.degenerate)
+
+    monkeypatch.setattr(cohomology, "first_page", flipped)
+    monkeypatch.setattr(cli, "first_page", flipped)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("internal consistency failure: w4n6:0, Lambda = -T1^V: obstruction "
+                   "'unsolvable' says degenerate=False but the d_1 table says "
+                   "degenerate=True\n")
 
 
 @pytest.mark.parametrize("argv, degrees_key", [

@@ -13,15 +13,20 @@ from math import comb
 
 import pytest
 
-from nilpoisson import (AlgebraSpec, CenterDimensionError, ExteriorComplex,
-                        GradedElement, analyze, deformed_complex, dolbeault_dims,
-                        first_page, hodge_verdict, obstruction, second_page,
-                        total_cohomology, wedge)
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from nilpoisson import (AlgebraSpec, CenterDimensionError, ExpressionContext,
+                        ExteriorComplex, GradedElement, SparseMatrix, analyze,
+                        deformed_complex, dolbeault_dims, first_page, hodge_verdict,
+                        kernel_vectors, obstruction, parse_catalog_name,
+                        parse_multivector, rank, second_page, total_cohomology, wedge)
 from nilpoisson.catalog import (double_heisenberg, heisenberg_ext, p_family, torus,
                                 w_family)
 from nilpoisson.cohomology import NotIntegrable, ObstructionInputError
 from nilpoisson.exterior import PoissonError
 from nilpoisson.rationals import gauss
+from test_exterior import _small_scalars, _two_step_complexes
 
 HALF = Fraction(1, 2)
 
@@ -124,6 +129,54 @@ def test_torus_bivector_acts_trivially():
     page = first_page(cx, lam, max_total=4)
     assert page.degenerate
     assert second_page(page) == page.e1
+
+
+def _oracle_d1_ranks(cx, lam, cap):
+    """rank d_1^{p,q} by lifting kernel representatives.
+
+    A kernel basis of dbar on B^{p,q} is pushed through ad_Lambda and the
+    images are ranked modulo the dbar-exact elements of B^{p+1,q}.
+    """
+    ranks = {}
+    for p in range(min(cx.n, cap) + 1):
+        for q in range(min(cx.n, cap - p) + 1):
+            kernel = kernel_vectors(cx.operator_block("dbar", p, q).matrix)
+            lift = SparseMatrix(cx.block_dim(p, q), len(kernel),
+                                {(r, c): v for c, vec in enumerate(kernel)
+                                 for r, v in vec.items()})
+            pushed = cx.operator_block("ad", p, q, lam).matrix @ lift
+            exact = cx.operator_block("dbar", p + 1, q - 1).matrix   # no columns at q = 0
+            combined = dict(exact.entries)
+            for (r, c), value in pushed.entries.items():
+                combined[(r, exact.cols + c)] = value
+            ranks[(p, q)] = (rank(SparseMatrix(exact.rows, exact.cols + pushed.cols, combined))
+                             - rank(exact))
+    return ranks
+
+
+@pytest.mark.parametrize("name, expr, cap", [
+    ("w4n6:1", "V^T1", 6), ("w4n6:2", "V^T1", 5), ("w4n6:3", "V^T1", 4),
+    ("p4n2:2", "V^T2", 6), ("double-heisenberg:2,1", "V^T1", 6),
+])
+def test_d1_ranks_match_the_kernel_lift_oracle(name, expr, cap):
+    spec = parse_catalog_name(name)
+    cx = ExteriorComplex(spec)
+    lam = parse_multivector(expr, ExpressionContext(spec, cx.report))
+    ranks = first_page(cx, lam, cap).d1_ranks
+    assert ranks == _oracle_d1_ranks(cx, lam, cap)
+    assert any(ranks.values()) == name.startswith("w4n6")
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cx=_two_step_complexes(), data=st.data())
+def test_d1_ranks_match_the_kernel_lift_oracle_on_random_two_step(cx, data):
+    t = GradedElement()
+    for i in range(1, cx.n):
+        t = t + V(i) * data.draw(_small_scalars)
+    lam = wedge(V(cx.n), t)
+    cx.validate_poisson(lam)
+    assert first_page(cx, lam, cx.dim_l).d1_ranks == _oracle_d1_ranks(cx, lam, cx.dim_l)
 
 
 # -- obstruction --------------------------------------------------------------------
