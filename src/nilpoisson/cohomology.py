@@ -85,8 +85,9 @@ def _stitch(cx: ExteriorComplex, sources: Sequence[Tuple[int, int]],
     """One matrix from operator blocks placed at their block offsets.
 
     Columns run over the source blocks in order and rows over the target
-    blocks; every piece must map one source block to one target block, and
-    pieces landing on the same cell add up.
+    blocks; every piece must map one source block to one target block.  No
+    two pieces may share a (source, target) pair, so no two pieces meet in
+    one cell and entries are placed, not added.
     """
     def offsets(blocks):
         out, total = {}, 0
@@ -97,22 +98,31 @@ def _stitch(cx: ExteriorComplex, sources: Sequence[Tuple[int, int]],
 
     col_offset, n_cols = offsets(sources)
     row_offset, n_rows = offsets(targets)
+    placed = set()
     entries: Dict[Tuple[int, int], GaussianRational] = {}
     for piece in pieces:
+        pair = (piece.source, piece.target)
+        if pair in placed:
+            raise ConsistencyError(
+                f"two operator pieces map block {piece.source} to block {piece.target}")
+        placed.add(pair)
         row_base, col_base = row_offset[piece.target], col_offset[piece.source]
         for (r, c), value in piece.matrix.entries.items():
-            key = (row_base + r, col_base + c)
-            acc = entries.get(key, ZERO) + value
-            if acc:
-                entries[key] = acc
-            elif key in entries:
-                del entries[key]
+            entries[(row_base + r, col_base + c)] = value
     return SparseMatrix(n_rows, n_cols, entries)
 
 
 def total_operator(cx: ExteriorComplex, summands: Sequence[GradedElement],
                    degree: int) -> SparseMatrix:
-    """The matrix of dbar + sum of ad_(summand) on K^degree -> K^{degree+1}."""
+    """The matrix of dbar + sum of ad_(summand) on K^degree -> K^{degree+1}.
+
+    dbar maps B^{p,q} to B^{p,q+1} and ad_E, for E of bidegree (a,b), to
+    B^{p+a-1,q+b}.  The summands must therefore have pairwise distinct
+    bidegrees, none of them (1,1), so that no two pieces leaving one block
+    land on the same target block; :func:`_stitch` raises ConsistencyError
+    otherwise.  The callers pass Lambda, of bidegree (2,0), and for the
+    deformed complex also Omega_bar, of bidegree (0,2).
+    """
     sources = _degree_blocks(cx, degree)
     targets = _degree_blocks(cx, degree + 1)
     pieces = []

@@ -1,17 +1,25 @@
 """Exact scalars over the Gaussian rationals Q(i).
 
 Every coefficient in this package is a :class:`GaussianRational`: a complex
-number ``a + b*i`` whose real and imaginary parts are arbitrary-precision
-``fractions.Fraction`` values.  There is no floating point anywhere; a scalar
-is zero iff both numerators are zero, and equality is exact structural
-equality.
+number ``(a + b*i) / d`` stored as three arbitrary-precision ints in canonical
+form, ``d > 0`` and ``gcd(a, b, d) == 1``.  Each arithmetic result costs a few
+integer products and one 3-way gcd, with no ``fractions.Fraction`` object in
+between; ``.re`` and ``.im`` are ``Fraction`` properties for parsing,
+formatting and JSON.  There is no floating point anywhere; a scalar is zero
+iff both numerators are zero, and equality is exact structural equality of
+the canonical triples.
+
+Loops that run many operations per matrix (the sparse elimination in
+:mod:`nilpoisson.sparse`) read :attr:`GaussianRational.triple` once per entry,
+work on the raw ints and build the results with :func:`from_triple`.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Optional, Tuple, Union
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -47,22 +55,28 @@ def format_rational(value: Fraction) -> str:
 
 
 class GaussianRational:
-    """An element ``re + im*i`` of Q(i).
+    """An element ``(a + b*i) / d`` of Q(i).
 
-    Instances are immutable by convention and hashable, so they can serve as
-    matrix entries and memoization keys.  ``Fraction`` keeps both components
-    in lowest terms with positive denominator.
+    The triple is canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so equal
+    values have equal triples.  Instances are immutable by convention and
+    hashable, so they can serve as matrix entries and memoization keys.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
         # floats are rejected, not converted: Fraction(0.1) would silently
         # smuggle the binary expansion into an exact computation
         if isinstance(re, float) or isinstance(im, float):
             raise TypeError("GaussianRational components must be int or Fraction, not float")
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        q, s = re.denominator, im.denominator
+        # both parts in lowest terms, so the lcm leaves gcd(a, b, d) = 1
+        d = q * s // gcd(q, s)
+        self._a, self._b, self._d = re.numerator * (d // q), im.numerator * (d // s), d
 
     # -- constructors -------------------------------------------------
 
@@ -79,103 +93,154 @@ class GaussianRational:
     def to_json(self) -> dict:
         return {"re": format_rational(self.re), "im": format_rational(self.im)}
 
+    # -- components ----------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    @property
+    def triple(self) -> Tuple[int, int, int]:
+        """The canonical ``(a, b, d)`` with value ``(a + b*i) / d``."""
+        return (self._a, self._b, self._d)
+
     # -- predicates ----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def is_zero(self) -> bool:
         return not self
 
     # -- field arithmetic ----------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        d, e = self._d, o._d
+        if d == e:
+            return _canonical(self._a + o._a, self._b + o._b, d)
+        return _canonical(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        d, e = self._d, o._d
+        if d == e:
+            return _canonical(self._a - o._a, self._b - o._b, d)
+        return _canonical(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return o - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _canonical(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _canonical(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        norm = o.re * o.re + o.im * o.im
-        if norm == 0:
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        a, b, c, e, f = self._a, self._b, o._a, o._b, o._d
+        norm = c * c + e * e
+        if not norm:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / norm,
-            (self.im * o.re - self.re * o.im) / norm,
-        )
+        return _canonical((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o / self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _canonical(self._a, -self._b, self._d)
 
     # -- comparison, hashing, display -----------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the equal int or Fraction
+        if not self._b:
+            return hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def sort_key(self):
-        """Deterministic total order, used only for canonical serialization."""
-        return (self.re.numerator, self.re.denominator, self.im.numerator, self.im.denominator)
+        """Deterministic total order, used only for canonical serialization.
+
+        The key is (re numerator, re denominator, im numerator, im
+        denominator) with each part in lowest terms.
+        """
+        a, b, d = self._a, self._b, self._d
+        g, h = gcd(a, d), gcd(b, d)
+        return (a // g, d // g, b // h, d // h)
 
     def __str__(self):
-        if not self.im:
-            return format_rational(self.re)
-        if not self.re:
-            return _format_imaginary(self.im)
-        sign = "+" if self.im > 0 else "-"
-        return f"{format_rational(self.re)}{sign}{_format_imaginary(abs(self.im)).lstrip('+')}"
+        re, im = self.re, self.im
+        if not im:
+            return format_rational(re)
+        if not re:
+            return _format_imaginary(im)
+        sign = "+" if im > 0 else "-"
+        return f"{format_rational(re)}{sign}{_format_imaginary(abs(im)).lstrip('+')}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+
+
+def _canonical(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar ``(a + b*i) / d`` for ``d > 0``, with one 3-way gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    value = _new(GaussianRational)
+    value._a, value._b, value._d = a, b, d
+    return value
+
+
+def _coerce(other) -> Optional[GaussianRational]:
+    if isinstance(other, GaussianRational):
+        return other
+    if isinstance(other, (int, Fraction)):
+        return GaussianRational(other)
+    return None
+
+
+def from_triple(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar ``(a + b*i) / d`` for ints with ``d != 0``, in canonical form."""
+    if not d:
+        raise ZeroDivisionError("zero denominator in a Gaussian rational triple")
+    if d < 0:
+        a, b, d = -a, -b, -d
+    return _canonical(a, b, d)
 
 
 def _format_imaginary(im: Fraction) -> str:

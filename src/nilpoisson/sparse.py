@@ -1,12 +1,17 @@
 """Sparse exact linear algebra over the Gaussian rationals.
 
-Rank, kernel and solve are implemented by exact Gaussian elimination.  In the
-sparse path the pivot row for each column is the candidate with the fewest
-nonzero entries, which keeps fill-in low on the operator matrices this
-package produces (a handful of entries per column).  Matrices with both
-dimensions under :data:`DENSE_CUTOFF` use a dense elimination instead, where
-the dict bookkeeping costs more than it saves.  Both paths compute the
-reduced row echelon form, which is unique, so they agree entry for entry.
+Rank, kernel and solve are implemented by exact Gaussian elimination.  The
+sparse path reads each entry once as its canonical int triple ``(a, b, d)``
+for ``(a + b*i) / d`` (see :mod:`nilpoisson.rationals`), eliminates on raw
+ints with one 3-way gcd per updated entry, and turns kernel vectors and
+solutions back into :class:`GaussianRational` once at exit.  Its pivot row
+for each column is the candidate with the fewest nonzero entries (ties: the
+lower row index), which keeps fill-in low on the operator matrices this
+package produces (a handful of entries per column); back substitution walks
+a column-to-rows index of the pivot rows instead of every pivot.  Matrices
+with both dimensions under :data:`DENSE_CUTOFF` use a dense elimination on
+scalars instead.  Both paths compute the reduced row echelon form, which is
+unique, so they agree entry for entry.
 
 There is no epsilon anywhere: a pivot is usable iff it is structurally
 nonzero.
@@ -14,13 +19,12 @@ nonzero.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .rationals import ZERO, GaussianRational
+from .rationals import ONE, ZERO, GaussianRational, from_triple
 
 DENSE_CUTOFF = 64
-
-Entry = Tuple[Tuple[int, int], GaussianRational]
 
 
 class SparseMatrix:
@@ -47,7 +51,6 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
-        from .rationals import ONE
         return cls(n, n, {(i, i): ONE for i in range(n)})
 
     # -- access -----------------------------------------------------------
@@ -107,13 +110,47 @@ class SparseMatrix:
 
 # -- elimination core -------------------------------------------------------
 #
+# Every value below is a canonical triple (a, b, d) = (a + b*i)/d.
+#
 # Forward phase: sweep columns left to right; among not-yet-pivoted rows with
-# a nonzero in the current column, pick the shortest row and eliminate the
-# column from the other unpivoted rows.  Unpivoted rows then never regain
-# entries in processed columns, so after the sweep every unpivoted row is
-# empty (its right-hand side decides consistency).  Backward phase (RREF
-# only): normalize pivots to 1 and clear each pivot column from the other
-# pivot rows.
+# a nonzero in the current column, pick the shortest row (ties: the lower
+# row index) and eliminate the column from the other unpivoted rows.
+# Unpivoted rows then never regain entries in processed columns, so after
+# the sweep every unpivoted row is empty (its right-hand side decides
+# consistency).  Backward phase (RREF only): normalize pivots to 1 and, in
+# reverse pivot order, clear each pivot column from the pivot rows that hold
+# it.  A pivot row then only has entries in its own and in free columns, so
+# clearing never touches a pivot column still to come, and the pivot rows
+# holding each pivot column can be listed once before the phase starts.
+
+Triple = Tuple[int, int, int]
+
+
+def _triple_ratio(x: Triple, y: Triple) -> Triple:
+    """x / y, canonical."""
+    a, b, d = x
+    c, e, f = y
+    a, b, d = (a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e)
+    g = gcd(a, b, d)
+    return (a // g, b // g, d // g) if g != 1 else (a, b, d)
+
+
+def _triple_sub_mul(x: Triple, f: Triple, y: Triple) -> Triple:
+    """x - f*y, canonical."""
+    fa, fb, fd = f
+    va, vb, vd = y
+    ma, mb, md = fa * va - fb * vb, fa * vb + fb * va, fd * vd
+    a, b, d = x
+    if d == md:
+        a, b = a - ma, b - mb
+    else:
+        a, b, d = a * md - ma * d, b * md - mb * d, d * md
+    g = gcd(a, b, d)
+    return (a // g, b // g, d // g) if g != 1 else (a, b, d)
+
+
+_ZERO_TRIPLE = (0, 0, 1)
+_ONE_TRIPLE = (1, 0, 1)
 
 
 class _Echelon:
@@ -122,63 +159,88 @@ class _Echelon:
     def __init__(self, matrix: SparseMatrix, rhs: Optional[List[GaussianRational]] = None):
         self.rows = matrix.rows
         self.cols = matrix.cols
-        self.row_data: List[Dict[int, GaussianRational]] = [{} for _ in range(matrix.rows)]
+        # only rows holding entries get a dict: most rows of a total operator are empty
+        row_data: Dict[int, Dict[int, Triple]] = {}
         for (r, c), value in matrix.entries.items():
-            self.row_data[r][c] = value
+            row = row_data.get(r)
+            if row is None:
+                row = row_data[r] = {}
+            row[c] = value.triple
+        self.row_data = row_data
         self.pivots: List[Tuple[int, int]] = []
         self.pivot_rows: set = set()
-        self.rhs = list(rhs) if rhs is not None else None
+        self.rhs = [value.triple for value in rhs] if rhs is not None else None
 
     def forward(self) -> None:
+        row_data = self.row_data
+        # unpivoted rows holding each column
         col_to_rows: Dict[int, set] = {}
-        for r, data in enumerate(self.row_data):
+        for r, data in row_data.items():
             for c in data:
                 col_to_rows.setdefault(c, set()).add(r)
-        for c in range(self.cols):
-            holders = col_to_rows.get(c)
-            if not holders:
+        for c in sorted(col_to_rows):
+            holders = col_to_rows.pop(c)
+            if len(holders) == 1:
+                pivot = next(iter(holders))
+            elif holders:
+                pivot = min(holders, key=lambda r: (len(row_data[r]), r))
+            else:
                 continue
-            candidates = [r for r in holders if r not in self.pivot_rows]
-            if not candidates:
-                continue
-            pivot = min(candidates, key=lambda r: (len(self.row_data[r]), r))
             self.pivots.append((pivot, c))
             self.pivot_rows.add(pivot)
-            pivot_value = self.row_data[pivot][c]
-            for r in candidates:
-                if r == pivot:
-                    continue
-                self._subtract(r, pivot, self.row_data[r][c] / pivot_value, col_to_rows)
+            for k in row_data[pivot]:
+                if k != c:
+                    col_to_rows[k].discard(pivot)
+            for r in holders:
+                if r != pivot:
+                    self._subtract(r, pivot, c, col_to_rows)
 
     def reduce(self) -> None:
         """Normalize pivots and clear pivot columns upward (full RREF)."""
+        row_data, rhs = self.row_data, self.rhs
+        holding: Dict[int, List[int]] = {c: [] for _, c in self.pivots}
         for pivot, c in self.pivots:
-            value = self.row_data[pivot][c]
-            if value != 1:
-                inv = GaussianRational(1) / value
-                self.row_data[pivot] = {k: v * inv for k, v in self.row_data[pivot].items()}
-                if self.rhs is not None:
-                    self.rhs[pivot] = self.rhs[pivot] * inv
+            value = row_data[pivot][c]
+            if value != _ONE_TRIPLE:
+                row_data[pivot] = {k: _triple_ratio(v, value) for k, v in row_data[pivot].items()}
+                if rhs is not None:
+                    rhs[pivot] = _triple_ratio(rhs[pivot], value)
+            for k in row_data[pivot]:
+                if k != c and k in holding:
+                    holding[k].append(pivot)
         for pivot, c in reversed(self.pivots):
-            for other, _ in self.pivots:
-                if other != pivot and c in self.row_data[other]:
-                    self._subtract(other, pivot, self.row_data[other][c], None)
+            for other in holding[c]:
+                self._subtract(other, pivot, c, None)
 
-    def _subtract(self, target: int, source: int, factor: GaussianRational,
+    def _subtract(self, target: int, source: int, col: int,
                   col_to_rows: Optional[Dict[int, set]]) -> None:
-        trow = self.row_data[target]
-        for c, value in self.row_data[source].items():
-            acc = trow.get(c, ZERO) - factor * value
-            if acc:
-                trow[c] = acc
-                if col_to_rows is not None:
-                    col_to_rows.setdefault(c, set()).add(target)
-            elif c in trow:
-                del trow[c]
-                if col_to_rows is not None:
-                    col_to_rows[c].discard(target)
+        """Clear column ``col`` of row ``target`` with a multiple of row ``source``."""
+        trow, srow = self.row_data[target], self.row_data[source]
+        fa, fb, fd = f = _triple_ratio(trow.pop(col), srow[col])
+        for k, (va, vb, vd) in srow.items():
+            if k == col:
+                continue
+            ma, mb, md = fa * va - fb * vb, fa * vb + fb * va, fd * vd
+            old = trow.get(k)
+            if old is None:
+                a, b, d = -ma, -mb, md
+            else:
+                a, b, d = old
+                if d == md:
+                    a, b = a - ma, b - mb
+                else:
+                    a, b, d = a * md - ma * d, b * md - mb * d, d * md
+                if not (a or b):
+                    del trow[k]
+                    if col_to_rows is not None:
+                        col_to_rows[k].discard(target)
+                    continue
+            g = gcd(a, b, d)
+            trow[k] = (a // g, b // g, d // g) if g != 1 else (a, b, d)
+            if old is None and col_to_rows is not None:
+                col_to_rows[k].add(target)
         if self.rhs is not None:
-            self.rhs[target] = self.rhs[target] - factor * self.rhs[source]
+            self.rhs[target] = _triple_sub_mul(self.rhs[target], f, self.rhs[source])
 
     # -- results ---------------------------------------------------------
 
@@ -186,30 +248,26 @@ class _Echelon:
         return len(self.pivots)
 
     def kernel_columns(self) -> List[Dict[int, GaussianRational]]:
+        """One kernel vector per free column; call after :meth:`reduce`."""
         pivot_cols = {c for _, c in self.pivots}
-        from .rationals import ONE
-        vectors = []
-        for free in range(self.cols):
-            if free in pivot_cols:
-                continue
-            vec: Dict[int, GaussianRational] = {free: ONE}
-            for pivot, c in self.pivots:
-                value = self.row_data[pivot].get(free)
-                if value:
-                    vec[c] = -value
-            vectors.append(vec)
-        return vectors
-
-    def particular_solution(self) -> Optional[Dict[int, GaussianRational]]:
-        assert self.rhs is not None
-        for r in range(self.rows):
-            if r not in self.pivot_rows and self.rhs[r]:
-                return None
-        solution: Dict[int, GaussianRational] = {}
+        vectors = {free: {free: ONE} for free in range(self.cols) if free not in pivot_cols}
         for pivot, c in self.pivots:
-            if self.rhs[pivot]:
-                solution[c] = self.rhs[pivot]
-        return solution
+            for k, (a, b, d) in self.row_data[pivot].items():
+                if k != c:
+                    vectors[k][c] = from_triple(-a, -b, d)
+        return list(vectors.values())
+
+    def consistent(self) -> bool:
+        """True iff every unpivoted row has a zero right-hand side."""
+        assert self.rhs is not None
+        return all(self.rhs[r] == _ZERO_TRIPLE
+                   for r in range(self.rows) if r not in self.pivot_rows)
+
+    def particular_solution(self) -> Dict[int, GaussianRational]:
+        """Pivot values with free variables zero; call after :meth:`reduce`."""
+        assert self.rhs is not None
+        return {c: from_triple(*self.rhs[pivot])
+                for pivot, c in self.pivots if self.rhs[pivot] != _ZERO_TRIPLE}
 
 
 def _eliminate_dense(matrix: SparseMatrix, rhs: Optional[List[GaussianRational]] = None):
@@ -243,7 +301,6 @@ def _eliminate_dense(matrix: SparseMatrix, rhs: Optional[List[GaussianRational]]
 
 
 def _reduce_dense(data, pivots, rhs):
-    from .rationals import ONE
     for pivot, c in pivots:
         value = data[pivot][c]
         if value != 1:
@@ -281,7 +338,6 @@ def kernel_vectors(matrix: SparseMatrix) -> List[Dict[int, GaussianRational]]:
     if _use_dense(matrix):
         data, pivots, pivot_rows, _ = _eliminate_dense(matrix)
         _reduce_dense(data, pivots, None)
-        from .rationals import ONE
         pivot_cols = {c for _, c in pivots}
         vectors = []
         for free in range(matrix.cols):
@@ -331,14 +387,11 @@ def solve(matrix: SparseMatrix, b: Sequence[GaussianRational]) -> Optional[List[
         return solution
     ech = _Echelon(matrix, rhs)
     ech.forward()
-    partial = ech.particular_solution()
-    if partial is None:
+    if not ech.consistent():
         return None
     ech.reduce()
     solution = [ZERO] * matrix.cols
-    refined = ech.particular_solution()
-    assert refined is not None
-    for c, value in refined.items():
+    for c, value in ech.particular_solution().items():
         solution[c] = value
     return solution
 

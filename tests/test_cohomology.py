@@ -8,6 +8,7 @@ frozen at 4.
 """
 
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -23,7 +24,7 @@ from nilpoisson import (AlgebraSpec, CenterDimensionError, ExpressionContext,
                         parse_multivector, rank, second_page, total_cohomology, wedge)
 from nilpoisson.catalog import (double_heisenberg, heisenberg_ext, p_family, torus,
                                 w_family)
-from nilpoisson.cohomology import NotIntegrable, ObstructionInputError
+from nilpoisson.cohomology import ConsistencyError, NotIntegrable, ObstructionInputError
 from nilpoisson.exterior import PoissonError
 from nilpoisson.rationals import gauss
 from test_exterior import _small_scalars, _two_step_complexes
@@ -381,6 +382,19 @@ def test_total_operator_matches_elementwise_application(w6_complex, heis1_comple
                 for out_mono, coeff in image.terms():
                     direct[(target_pos[out_mono], col)] = coeff
             assert assembled.entries == direct
+
+
+def test_stitch_rejects_two_pieces_on_one_block_pair(w6_complex):
+    """Entries are placed, not added, so a repeated block pair is an error."""
+    from nilpoisson.cohomology import _stitch
+
+    piece = w6_complex.operator_block("dbar", 1, 0)
+    assert piece.matrix.entries
+    with pytest.raises(ConsistencyError,
+                       match=re.escape("two operator pieces map block (1, 0) to block (1, 1)")):
+        _stitch(w6_complex, [piece.source], [piece.target], [piece, piece])
+    single = _stitch(w6_complex, [piece.source], [piece.target], [piece])
+    assert single.entries == piece.matrix.entries
 
 
 # -- deformation ----------------------------------------------------------------------
