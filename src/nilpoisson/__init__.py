@@ -9,7 +9,7 @@ deformed differentials.
 
 from .algebra import (AlgebraError, AlgebraSpec, CenterDimensionError, IndexOutOfRange,
                       JacobiViolation, NotNilpotent, StructureReport, d_rho_matrix,
-                      layers, validate)
+                      validate)
 from .catalog import (CatalogError, FAMILIES, SpecFormatError, build_catalog_entry,
                       catalog_names, double_heisenberg, emit_spec, heisenberg_ext,
                       p_family, parse_catalog_name, parse_spec, torus, w_family)
@@ -23,6 +23,6 @@ from .exterior import (ExteriorComplex, GradedElement, Monomial, NotBidegree,
 from .expressions import (ExpressionContext, ExpressionError, format_multivector,
                           parse_multivector)
 from .rationals import GaussianRational, MalformedRational, format_rational, gauss, parse_rational
-from .sparse import SparseMatrix, SpanBuilder, kernel_basis, kernel_vectors, rank, solve
+from .sparse import SparseMatrix, kernel_vectors, rank, solve
 
 __version__ = "0.1.0"

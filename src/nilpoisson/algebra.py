@@ -14,7 +14,10 @@ of the dual structure equation for the central (1,0)-form.
 :func:`validate` checks the Jacobi identity on all complexified basis
 triples, runs the lower central series to find the nilpotency step, and
 computes the center and the layer decomposition of ``g^{1,0}`` induced by
-the J-closed lower central series.
+the J-closed lower central series.  Every span and membership test here
+goes through the exact triple elimination of :mod:`nilpoisson.sparse`
+(:func:`~nilpoisson.sparse.span_basis`,
+:func:`~nilpoisson.sparse.independent_indices`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .rationals import ZERO, GaussianRational
-from .sparse import SparseMatrix, SpanBuilder, kernel_vectors
+from .sparse import SparseMatrix, independent_indices, kernel_vectors, span_basis
 
 Vector = Dict[int, GaussianRational]  # sparse coordinates
 
@@ -223,27 +226,18 @@ def validate(spec: AlgebraSpec) -> StructureReport:
                 if total:
                     raise JacobiViolation((_names(a), _names(b), _names(c)))
 
-    # Lower central series g^p = [g^{p-1}, g] on the complexified algebra.
-    series: List[SpanBuilder] = []
-    current = SpanBuilder()
-    for u in basis_vectors:
-        for v in basis_vectors:
-            w = spec.bracket(u, v)
-            if w:
-                current.add(w)
-    series.append(current)
-    while series[-1].dimension:
+    # Lower central series g^p = [g^{p-1}, g] on the complexified algebra,
+    # each term as its RREF basis.
+    def bracket_span(vectors: List[Vector]) -> List[Vector]:
+        return span_basis([w for u in vectors for v in basis_vectors if (w := spec.bracket(u, v))])
+
+    series = [bracket_span(basis_vectors)]
+    while series[-1]:
         if len(series) > dim:
             raise NotNilpotent(f"lower central series of {spec.name!r} does not reach zero")
-        prev = series[-1]
-        nxt = SpanBuilder()
-        for u in prev.basis():
-            for v in basis_vectors:
-                w = spec.bracket(u, v)
-                if w:
-                    nxt.add(w)
-        if nxt.dimension == prev.dimension:
-            raise NotNilpotent(f"lower central series of {spec.name!r} stabilizes at dimension {nxt.dimension}")
+        nxt = bracket_span(series[-1])
+        if len(nxt) == len(series[-1]):
+            raise NotNilpotent(f"lower central series of {spec.name!r} stabilizes at dimension {len(nxt)}")
         series.append(nxt)
     step = len(series)  # series[0] = g^1, ..., series[step-1] = g^step = 0
 
@@ -272,49 +266,33 @@ def validate(spec: AlgebraSpec) -> StructureReport:
     center_basis = tuple(_dense(v, n) for v in center_vecs)
     center_units = [_unit_index(v) for v in center_basis]
     center_indices = tuple(sorted(center_units)) if all(u is not None for u in center_units) else None
-    center_span = SpanBuilder()
-    for v in center_vecs:
-        center_span.add(v)
 
     # J-closed filtration of g^{1,0}: project each series term to its (1,0)
     # part (for abelian J this is the (1,0) part of g^l + J g^l).
-    filtration: List[SpanBuilder] = []
-    for level in range(step):
-        span = SpanBuilder()
-        if level == 0:
-            for j in range(n):
-                span.add({j: GaussianRational(1)})
-        else:
-            for vec in series[level - 1].basis():
-                proj = {c: v for c, v in vec.items() if c < n}
-                if proj:
-                    span.add(proj)
-        filtration.append(span)
-    filtration.append(SpanBuilder())  # g_J^step = 0
+    filtration = [basis_vectors[:n]]
+    for level in range(1, step):
+        filtration.append(span_basis(
+            [proj for vec in series[level - 1] if (proj := {c: v for c, v in vec.items() if c < n})]))
+    filtration.append([])  # g_J^step = 0
 
     layers: List[Tuple[Tuple[GaussianRational, ...], ...]] = []
     layer_indices: List[Optional[Tuple[int, ...]]] = []
     for level in range(1, step + 1):
-        inner = filtration[level]
-        working = SpanBuilder()
-        for v in inner.basis():
-            working.add(v)
-        chosen: List[Vector] = []
-        # Deterministic complement: prefer the lowest pivot-index basis rows
-        # of the enclosing filtration term.
-        for candidate in filtration[level - 1].basis():
-            if working.add(candidate):
-                chosen.append(candidate)
-        dense_layer = tuple(_dense(v, n) for v in chosen)
+        inner, outer = filtration[level], filtration[level - 1]
+        # Deterministic complement: the basis rows of the enclosing term, in
+        # pivot order, that are independent of the inner term and of the rows
+        # kept before them.
+        dense_layer = tuple(_dense(outer[i - len(inner)], n)
+                            for i in independent_indices(inner + outer) if i >= len(inner))
         layers.append(dense_layer)
         units = [_unit_index(v) for v in dense_layer]
         layer_indices.append(tuple(sorted(units)) if all(u is not None for u in units) else None)
 
     if sum(len(layer) for layer in layers) != n:
         raise AlgebraError("layer dimensions do not sum to the complex dimension")
-    for v in layers[-1]:
-        if not center_span.contains({i: val for i, val in enumerate(v) if val}):
-            raise AlgebraError("top layer escapes the center; input is inconsistent")
+    top = [{i: val for i, val in enumerate(v) if val} for v in layers[-1]]
+    if len(independent_indices(center_vecs + top)) != len(center_vecs):
+        raise AlgebraError("top layer escapes the center; input is inconsistent")
 
     return StructureReport(
         step=step,
@@ -325,11 +303,6 @@ def validate(spec: AlgebraSpec) -> StructureReport:
         t_layers=tuple(layers),
         t_layer_indices=tuple(layer_indices),
     )
-
-
-def layers(spec: AlgebraSpec) -> Tuple[Tuple[Tuple[GaussianRational, ...], ...], ...]:
-    """The layer decomposition t_1 + ... + t_step of g^{1,0}."""
-    return validate(spec).t_layers
 
 
 def d_rho_matrix(spec: AlgebraSpec, v_index: int,

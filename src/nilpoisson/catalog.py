@@ -149,7 +149,7 @@ def parse_spec(text: str) -> AlgebraSpec:
     for required in ("name", "n", "labels"):
         if required not in raw:
             raise SpecFormatError(f"missing field {required!r}")
-    if not isinstance(raw["n"], int):
+    if type(raw["n"]) is not int:  # JSON integers only: no bool, float or string
         raise SpecFormatError("'n' must be an integer")
     if not isinstance(raw["labels"], list) or not all(isinstance(s, str) for s in raw["labels"]):
         raise SpecFormatError("'labels' must be a list of strings")
@@ -162,10 +162,9 @@ def parse_spec(text: str) -> AlgebraSpec:
         if unknown:
             raise SpecFormatError(
                 f"constants[{position}]: unknown field(s) {', '.join(sorted(unknown))}")
-        try:
-            k, j, m = int(item["k"]), int(item["j"]), int(item["m"])
-        except (KeyError, TypeError, ValueError):
-            raise SpecFormatError(f"constants[{position}]: k, j, m must be integers") from None
+        k, j, m = item.get("k"), item.get("j"), item.get("m")
+        if not all(type(x) is int for x in (k, j, m)):
+            raise SpecFormatError(f"constants[{position}]: k, j, m must be integers")
         if (k, j, m) in constants:
             raise SpecFormatError(f"constants[{position}]: duplicate triple (k,j,m) = ({k},{j},{m})")
         try:

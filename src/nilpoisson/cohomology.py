@@ -34,7 +34,7 @@ from .algebra import CenterDimensionError, StructureReport
 from .expressions import ExpressionContext, format_multivector
 from .exterior import ExteriorComplex, GradedElement, Monomial, OperatorMatrix, wedge
 from .rationals import ZERO, GaussianRational
-from .sparse import SparseMatrix, SpanBuilder, kernel_vectors, rank, solve
+from .sparse import SparseMatrix, independent_indices, kernel_vectors, rank, solve
 
 
 class ConsistencyError(RuntimeError):
@@ -226,10 +226,9 @@ class ObstructionResult:
 
 def _in_top_layer(report: StructureReport, t: GradedElement) -> bool:
     """Whether the (1,0) vector t lies in the t_{k-1} layer (k = step >= 2)."""
-    span = SpanBuilder()
-    for vec in report.t_layers[report.step - 2]:
-        span.add({i: v for i, v in enumerate(vec) if v})
-    return span.contains({mono.vec[0] - 1: c for mono, c in t.terms()})
+    layer = [{i: v for i, v in enumerate(vec) if v} for vec in report.t_layers[report.step - 2]]
+    vector = {mono.vec[0] - 1: c for mono, c in t.terms()}
+    return len(layer) not in independent_indices(layer + [vector])
 
 
 def obstruction(cx: ExteriorComplex, v_index: int, t: GradedElement) -> ObstructionResult:

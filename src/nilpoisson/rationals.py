@@ -255,7 +255,6 @@ def _format_imaginary(im: Fraction) -> str:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
 
 
 def gauss(re: Rationalish = 0, im: Rationalish = 0) -> GaussianRational:

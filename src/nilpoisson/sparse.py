@@ -13,6 +13,12 @@ with both dimensions under :data:`DENSE_CUTOFF` use a dense elimination on
 scalars instead.  Both paths compute the reduced row echelon form, which is
 unique, so they agree entry for entry.
 
+Spans of coordinate vectors (the lower central series, layers and
+membership tests in :mod:`nilpoisson.algebra` and
+:mod:`nilpoisson.cohomology`) use the same triple elimination:
+:func:`span_basis` reads the RREF rows of the vectors and
+:func:`independent_indices` the pivot columns of one forward sweep.
+
 There is no epsilon anywhere: a pivot is usable iff it is structurally
 nonzero.
 """
@@ -355,17 +361,6 @@ def kernel_vectors(matrix: SparseMatrix) -> List[Dict[int, GaussianRational]]:
     return ech.kernel_columns()
 
 
-def kernel_basis(matrix: SparseMatrix) -> List[List[GaussianRational]]:
-    """Kernel basis as dense coefficient vectors; len == cols - rank."""
-    out = []
-    for vec in kernel_vectors(matrix):
-        dense = [ZERO] * matrix.cols
-        for c, value in vec.items():
-            dense[c] = value
-        out.append(dense)
-    return out
-
-
 def solve(matrix: SparseMatrix, b: Sequence[GaussianRational]) -> Optional[List[GaussianRational]]:
     """Some x with Mx = b, or None when the system is inconsistent.
 
@@ -396,64 +391,35 @@ def solve(matrix: SparseMatrix, b: Sequence[GaussianRational]) -> Optional[List[
     return solution
 
 
-class SpanBuilder:
-    """Incremental row-space builder over sparse coordinate vectors.
+# -- spans of coordinate vectors ----------------------------------------------
 
-    Used for lower-central-series spans, layer complements, and membership
-    tests.  Vectors are reduced against the stored pivot rows; a vector is
-    new iff its residual is nonzero.
+Vectors = Sequence[Mapping[int, GaussianRational]]
+
+
+def _vector_matrix(vectors: Vectors, as_columns: bool) -> SparseMatrix:
+    size = 1 + max((c for vec in vectors for c in vec), default=-1)
+    if as_columns:
+        return SparseMatrix(size, len(vectors),
+                            {(c, i): v for i, vec in enumerate(vectors) for c, v in vec.items()})
+    return SparseMatrix(len(vectors), size,
+                        {(i, c): v for i, vec in enumerate(vectors) for c, v in vec.items()})
+
+
+def span_basis(vectors: Vectors) -> List[Dict[int, GaussianRational]]:
+    """The RREF basis of the span of the vectors, rows in pivot order."""
+    ech = _Echelon(_vector_matrix(vectors, as_columns=False))
+    ech.forward()
+    ech.reduce()
+    return [{c: from_triple(*value) for c, value in ech.row_data[pivot].items()}
+            for pivot, _ in ech.pivots]
+
+
+def independent_indices(vectors: Vectors) -> List[int]:
+    """Indices of the vectors independent of the vectors before them, ascending.
+
+    With the vectors as columns, the forward sweep gives a column a pivot
+    exactly when it is independent of the columns to its left.
     """
-
-    def __init__(self):
-        self._rows: List[Dict[int, GaussianRational]] = []
-        self._pivots: List[int] = []
-
-    def _residual(self, vector: Mapping[int, GaussianRational]) -> Dict[int, GaussianRational]:
-        residual = {c: v for c, v in vector.items() if v}
-        for row, pivot in zip(self._rows, self._pivots):
-            coeff = residual.get(pivot)
-            if not coeff:
-                continue
-            for c, value in row.items():
-                acc = residual.get(c, ZERO) - coeff * value
-                if acc:
-                    residual[c] = acc
-                elif c in residual:
-                    del residual[c]
-        return residual
-
-    def add(self, vector: Mapping[int, GaussianRational]) -> bool:
-        """Add a vector; True iff it enlarged the span."""
-        residual = self._residual(vector)
-        if not residual:
-            return False
-        pivot = min(residual)
-        inv = GaussianRational(1) / residual[pivot]
-        self._rows.append({c: v * inv for c, v in residual.items()})
-        self._pivots.append(pivot)
-        return True
-
-    def contains(self, vector: Mapping[int, GaussianRational]) -> bool:
-        return not self._residual(vector)
-
-    @property
-    def dimension(self) -> int:
-        return len(self._rows)
-
-    def basis(self) -> List[Dict[int, GaussianRational]]:
-        """Fully reduced (RREF) basis rows, sorted by pivot."""
-        order = sorted(range(len(self._rows)), key=lambda i: self._pivots[i])
-        rows = [dict(self._rows[i]) for i in order]
-        pivots = [self._pivots[i] for i in order]
-        for i in range(len(rows) - 1, -1, -1):
-            for j in range(i):
-                coeff = rows[j].get(pivots[i])
-                if not coeff:
-                    continue
-                for c, value in rows[i].items():
-                    acc = rows[j].get(c, ZERO) - coeff * value
-                    if acc:
-                        rows[j][c] = acc
-                    elif c in rows[j]:
-                        del rows[j][c]
-        return rows
+    ech = _Echelon(_vector_matrix(vectors, as_columns=True))
+    ech.forward()
+    return [c for _, c in ech.pivots]

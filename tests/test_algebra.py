@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nilpoisson import (AlgebraSpec, CenterDimensionError, IndexOutOfRange,
-                        JacobiViolation, NotNilpotent, d_rho_matrix, layers, validate)
+                        JacobiViolation, NotNilpotent, d_rho_matrix, validate)
 from nilpoisson.catalog import (double_heisenberg, heisenberg_ext, p_family, torus,
                                 w_family)
 from nilpoisson.rationals import gauss
@@ -60,6 +60,24 @@ def test_layer_index_sets(spec_builder, expected_layers):
     assert report.t_layer_indices == expected_layers
 
 
+@pytest.mark.parametrize("constants,layers,indices,center", [
+    # [X1bar, X1] = (X2 + X3) - conj: the top layer is X2 + X3
+    ({(1, 1, 2): gauss(1), (1, 1, 3): gauss(1)},
+     (((1, 0, 0), (0, 1, 0)), ((0, 1, 1),)), ((1, 2), None), (2, 3)),
+    # a 3-step algebra whose second and third layers mix basis vectors
+    ({(1, 1, 2): gauss(1), (1, 2, 3): gauss(1), (1, 2, 4): gauss(0, 1), (1, 1, 4): gauss(2)},
+     (((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 1, 0, 2),), ((0, 0, 1, gauss(0, 1)),)),
+     ((1, 2), None, None), (3, 4)),
+], ids=["skew", "skew3"])
+def test_non_coordinate_layers(constants, layers, indices, center):
+    """Pins the RREF normalisation and the greedy complement order."""
+    n = len(layers[0][0])
+    report = validate(AlgebraSpec("skew", n, tuple(f"X{j}" for j in range(1, n + 1)), constants))
+    assert report.t_layers == layers
+    assert report.t_layer_indices == indices
+    assert report.center_indices == center
+
+
 def test_three_step_layers(three_step):
     report = validate(three_step)
     assert report.step == 3
@@ -84,30 +102,36 @@ def test_lower_central_series_length(w6):
 
 
 def test_series_brackets_match_the_step(w6, three_step):
-    """Recompute [g^{step-1}, g] = 0 and [g^{step-2}, g] != 0 directly."""
-    from nilpoisson.sparse import SpanBuilder
+    """Recompute [g^{step-1}, g] = 0 and [g^{step-2}, g] != 0 with sympy over Q(i)."""
+    pytest.importorskip("sympy")
+    from sympy import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    def to_sympy(value):
+        re, im = value.re, value.im
+        return QQ_I(QQ(re.numerator, re.denominator), QQ(im.numerator, im.denominator))
 
     for spec in (heisenberg_ext(2), w6, three_step):
         report = validate(spec)
-        basis = [{i: gauss(1)} for i in range(2 * spec.n)]
+        dim = 2 * spec.n
+        # row i of bracket_with[j] is [e_i, e_j], so U @ bracket_with[j] = [U, e_j] row by row
+        bracket_with = []
+        for j in range(dim):
+            rows = {i: {c: to_sympy(v) for c, v in spec.bracket({i: gauss(1)}, {j: gauss(1)}).items()}
+                    for i in range(dim)}
+            bracket_with.append(DomainMatrix({i: row for i, row in rows.items() if row},
+                                             (dim, dim), QQ_I))
 
         def series_term(power):
-            span = SpanBuilder()
+            """g^power (g^0 = g) as the rows of its RREF."""
             if power == 0:
-                for v in basis:
-                    span.add(v)
-                return span
+                return DomainMatrix.eye(dim, QQ_I)
             prev = series_term(power - 1)
-            out = SpanBuilder()
-            for u in prev.basis():
-                for v in basis:
-                    w = spec.bracket(u, v)
-                    if w:
-                        out.add(w)
-            return out
+            reduced, pivots = DomainMatrix.vstack(*(prev.matmul(b) for b in bracket_with)).rref()
+            return reduced[:len(pivots), :]
 
-        assert series_term(report.step).dimension == 0
-        assert series_term(report.step - 1).dimension > 0
+        assert series_term(report.step).shape[0] == 0
+        assert series_term(report.step - 1).shape[0] > 0
 
 
 def test_derived_coefficients_are_an_involution(w6):
@@ -168,7 +192,3 @@ def test_d_rho_agrees_with_raw_brackets(spec_builder, v_index):
             bracket = spec.bracket({j - 1: gauss(1)}, {spec.n + b - 1: gauss(1)})
             rho_value = -bracket.get(v_index - 1, gauss(0))
             assert matrix.entry(bi, ji) == rho_value
-
-
-def test_layers_operation_matches_report(w6):
-    assert layers(w6) == validate(w6).t_layers

@@ -1,5 +1,6 @@
 """Catalog families, the spec-file format, and catalog invariants."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,26 @@ def test_parse_rejects_unknown_field():
 def test_parse_rejects_bad_json():
     with pytest.raises(SpecFormatError, match="line"):
         parse_spec('{"name": "x",')
+
+
+_NON_INTEGERS = [1.9, True, "1"]
+
+
+@pytest.mark.parametrize("value", _NON_INTEGERS, ids=repr)
+def test_parse_rejects_a_non_integer_dimension(value):
+    text = json.dumps({"name": "x", "n": value, "labels": ["X1"]})
+    with pytest.raises(SpecFormatError, match="'n' must be an integer"):
+        parse_spec(text)
+
+
+@pytest.mark.parametrize("key", ["k", "j", "m"])
+@pytest.mark.parametrize("value", _NON_INTEGERS, ids=repr)
+def test_parse_rejects_a_non_integer_constant_index(key, value):
+    item = {"k": 1, "j": 1, "m": 2, "re": "1", "im": "0"}
+    item[key] = value
+    text = json.dumps({"name": "x", "n": 2, "labels": ["A", "B"], "constants": [item]})
+    with pytest.raises(SpecFormatError, match=r"constants\[0\]: k, j, m must be integers"):
+        parse_spec(text)
 
 
 def test_roundtrip_preserves_rationals_exactly():

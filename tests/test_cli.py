@@ -183,6 +183,16 @@ def test_bad_spec_file_location_in_error(capsys, tmp_path):
     assert "line" in err
 
 
+def test_non_integer_constant_index_exits_1(capsys, tmp_path):
+    bad = tmp_path / "float-index.json"
+    bad.write_text(json.dumps({"name": "x", "n": 2, "labels": ["A", "B"], "constants": [
+        {"k": 1.9, "j": 1, "m": 2, "re": "1", "im": "0"}]}))
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 1
+    assert "valid" not in out
+    assert "k, j, m must be integers" in err
+
+
 def test_non_poisson_input_is_rejected(capsys):
     code, _, err = run_cli(capsys, "analyze", "three-step:1")
     assert code == 1

@@ -2,8 +2,9 @@
 
 sympy is an independent implementation of exact linear algebra over Q(i):
 its rank, its reduced row echelon form (unique, so kernel vectors and the
-solution with free variables zero can be read off it entry for entry) and
-the ranks of the total operators must agree with ``nilpoisson.sparse``.
+solution with free variables zero can be read off it entry for entry), the
+span helpers (an RREF basis, the indices where the rank of a prefix grows)
+and the ranks of the total operators must agree with ``nilpoisson.sparse``.
 Shapes on both sides of ``DENSE_CUTOFF`` are drawn, so both the dense twin
 and the sparse triple elimination are covered.
 """
@@ -25,8 +26,8 @@ from nilpoisson.algebra import validate  # noqa: E402
 from nilpoisson.cohomology import total_cohomology, total_operator  # noqa: E402
 from nilpoisson.expressions import parse_multivector  # noqa: E402
 from nilpoisson.rationals import gauss  # noqa: E402
-from nilpoisson.sparse import (DENSE_CUTOFF, SparseMatrix, kernel_vectors,  # noqa: E402
-                               rank, solve)
+from nilpoisson.sparse import (DENSE_CUTOFF, SparseMatrix, independent_indices,  # noqa: E402
+                               kernel_vectors, rank, solve, span_basis)
 
 
 def _to_sympy(value):
@@ -148,6 +149,51 @@ def test_the_drawn_shapes_reach_the_sparse_path():
     m = SparseMatrix(DENSE_CUTOFF, DENSE_CUTOFF + 1,
                      {(i, i): gauss(Fraction(1, 1 + i % 4), i % 3 - 1) for i in range(DENSE_CUTOFF)})
     assert rank(m) == _domain_matrix(m).rank() == DENSE_CUTOFF
+
+
+# -- spans of sparse vectors ----------------------------------------------------------
+
+
+@st.composite
+def _vector_lists(draw):
+    """Sparse Q(i) vectors in Q(i)^dim, with scalar multiples and sums of
+    earlier vectors mixed in so that dependent vectors occur."""
+    dim = draw(st.integers(1, 8))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    vectors = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["fresh", "multiple", "sum"])) if vectors else "fresh"
+        if kind == "fresh":
+            vec = {c: _random_scalar(rng) for c in range(dim) if rng.random() < 0.4}
+        elif kind == "multiple":
+            scale = _random_scalar(rng)
+            vec = {c: scale * v for c, v in rng.choice(vectors).items()}
+        else:
+            u, w = rng.choice(vectors), rng.choice(vectors)
+            vec = {c: u.get(c, gauss(0)) + w.get(c, gauss(0)) for c in set(u) | set(w)}
+        vectors.append({c: v for c, v in vec.items() if v})
+    return dim, vectors
+
+
+def _rows(dim, vectors):
+    return SparseMatrix(len(vectors), dim,
+                        {(r, c): v for r, vec in enumerate(vectors) for c, v in vec.items()})
+
+
+@_oracle_settings
+@given(drawn=_vector_lists())
+def test_span_basis_is_the_sympy_rref(drawn):
+    dim, vectors = drawn
+    reduced, _ = _rref_rows(_domain_matrix(_rows(dim, vectors)))
+    assert span_basis(vectors) == reduced
+
+
+@_oracle_settings
+@given(drawn=_vector_lists())
+def test_independent_indices_are_where_the_sympy_rank_grows(drawn):
+    dim, vectors = drawn
+    ranks = [0] + [_domain_matrix(_rows(dim, vectors[:i + 1])).rank() for i in range(len(vectors))]
+    assert independent_indices(vectors) == [i for i in range(len(vectors)) if ranks[i + 1] > ranks[i]]
 
 
 # -- H^n of catalog entries -----------------------------------------------------------

@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 from nilpoisson.rationals import gauss
-from nilpoisson.sparse import (DENSE_CUTOFF, SparseMatrix, SpanBuilder, _Echelon,
-                               kernel_basis, kernel_vectors, rank, solve)
+from nilpoisson.sparse import (DENSE_CUTOFF, SparseMatrix, _Echelon, independent_indices,
+                               kernel_vectors, rank, solve, span_basis)
 
 HALF = Fraction(1, 2)
 
@@ -32,20 +32,20 @@ def test_rank_1x1_imaginary():
 
 
 def test_kernel_zero_matrix():
-    assert len(kernel_basis(SparseMatrix(2, 3))) == 3
+    assert len(kernel_vectors(SparseMatrix(2, 3))) == 3
 
 
 def test_kernel_identity():
-    assert kernel_basis(SparseMatrix.identity(4)) == []
+    assert kernel_vectors(SparseMatrix.identity(4)) == []
 
 
 def test_kernel_single_column_differential():
     # 9x3 block where only the middle basis vector has a nonzero image:
     # the kernel is spanned by the first and last coordinates.
     m = SparseMatrix(9, 3, {(6, 1): gauss(HALF)})
-    vectors = kernel_basis(m)
+    vectors = kernel_vectors(m)
     assert len(vectors) == 2
-    supports = sorted(tuple(i for i, v in enumerate(vec) if v) for vec in vectors)
+    supports = sorted(tuple(sorted(c for c, v in vec.items() if v)) for vec in vectors)
     assert supports == [(0,), (2,)]
 
 
@@ -95,7 +95,7 @@ def _random_matrix(rng, rows, cols, density=0.4):
 def test_rank_nullity(seed):
     rng = random.Random(seed)
     m = _random_matrix(rng, rng.randint(1, 10), rng.randint(1, 10))
-    assert rank(m) + len(kernel_basis(m)) == m.cols
+    assert rank(m) + len(kernel_vectors(m)) == m.cols
 
 
 def _column(m, vec):
@@ -149,11 +149,14 @@ def test_matmul():
     assert (a @ b) == SparseMatrix(2, 1, {(0, 0): gauss(0, 2)})
 
 
-def test_span_builder_membership():
-    sb = SpanBuilder()
-    assert sb.add({0: gauss(1), 1: gauss(1)})
-    assert sb.add({1: gauss(1)})
-    assert not sb.add({0: gauss(2)})          # dependent on the first two
-    assert sb.dimension == 2
-    assert sb.contains({0: gauss(5), 1: gauss(-3)})
-    assert not sb.contains({2: gauss(1)})
+def test_span_membership():
+    vectors = [{0: gauss(1), 1: gauss(1)}, {1: gauss(1)}, {0: gauss(2)}]
+    assert independent_indices(vectors) == [0, 1]   # the third depends on the first two
+    basis = span_basis(vectors)
+    assert len(basis) == 2
+
+    def contains(vector):
+        return len(basis) not in independent_indices(basis + [vector])
+
+    assert contains({0: gauss(5), 1: gauss(-3)})
+    assert not contains({2: gauss(1)})
