@@ -83,6 +83,13 @@ class AlgebraSpec:
                 clean[(k, j, m)] = value
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "constants", clean)
+        # [Xbar_k, X_j] for every (k, j) with a nonzero bracket: A^m_{kj} at X_m
+        # and B^m_{kj} = -conj(A^m_{jk}) at Xbar_m (complexified coordinates)
+        conj_brackets: Dict[Tuple[int, int], Vector] = {}
+        for (k, j, m), value in clean.items():
+            conj_brackets.setdefault((k, j), {})[m - 1] = value
+            conj_brackets.setdefault((j, k), {})[self.n + m - 1] = -value.conjugate()
+        object.__setattr__(self, "_conj_brackets", conj_brackets)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraSpec):
@@ -116,18 +123,8 @@ class AlgebraSpec:
     # Xbar_j components (1-based basis index j = coordinate + 1).
 
     def bracket_conj_vec(self, k: int, j: int) -> Vector:
-        """[Xbar_k, X_j] in complexified coordinates."""
-        out: Vector = {}
-        for (kk, jj, m), value in self.constants.items():
-            if kk == k and jj == j:
-                out[m - 1] = out.get(m - 1, ZERO) + value
-            if kk == j and jj == k:
-                bar = out.get(self.n + m - 1, ZERO) - value.conjugate()
-                if bar:
-                    out[self.n + m - 1] = bar
-                elif self.n + m - 1 in out:
-                    del out[self.n + m - 1]
-        return {c: v for c, v in out.items() if v}
+        """[Xbar_k, X_j] in complexified coordinates (shared; do not mutate)."""
+        return self._conj_brackets.get((k, j), {})
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
         """Bracket of complexified coordinate vectors."""

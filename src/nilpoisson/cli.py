@@ -167,7 +167,9 @@ def _cmd_obstruction(args) -> int:
         raise InputError(str(exc)) from None
 
     lam = GradedElement.vector(report.center_indices[0]).wedge(t)
-    check_obstruction_verdict(cx, lam, result.kind, first_page(cx, lam))
+    # an unsolvable verdict is checked against d_1^{0,1}, which a cap-1 page holds
+    cap = 1 if result.kind == "unsolvable" else None
+    check_obstruction_verdict(cx, lam, result.kind, first_page(cx, lam, cap))
 
     if args.json:
         solution = None

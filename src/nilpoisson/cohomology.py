@@ -4,19 +4,42 @@ Everything here reduces to exact ranks of the memoized operator blocks:
 
 * Dolbeault dimensions  H^q(g^{p,0}) = dim ker dbar|B^{p,q} - rank dbar|B^{p,q-1};
 * total cohomology of dbar_Lambda = dbar + ad_Lambda on K^n = sum_{p+q=n} B^{p,q}
-  by brute-force rank computation -- the oracle every theorem-level claim is
-  checked against;
+  by exact rank of the total operator T_n -- the oracle every theorem-level
+  claim is checked against;
 * the first page E_1^{p,q} = H^q(g^{p,0}) with the rank of the induced map
-  d_1 = ad_Lambda, read off the two-row window of the total operator:
-  rank d_1^{p,q} = rank M - rank dbar|B^{p,q} - rank dbar|B^{p+1,q-1} with
-  M = dbar + ad_Lambda on B^{p,q} + B^{p+1,q-1} truncated to filtration rows
-  p and p+1; and E_2 from those ranks;
+  d_1 = ad_Lambda, and E_2 from those ranks;
 * the degeneracy obstruction for Lambda = V ^ T: whether ad_Lambda(rho_bar)
   = dbar X is solvable with X in t^{1,0}, which for such Lambda is
   equivalent to first-page degeneracy and forces the Hodge-type dimension
   decomposition when it holds;
 * the deformed differential delta = dbar_Lambda + [Omega_bar, -] for an
   integrable (0,2) deformation class.
+
+One elimination of T_n per degree serves H^n, every d_1 block and every
+dbar block of that degree.  Call the source block p of a column and the
+target block p of a row its band.  T_n's columns run in descending band;
+dbar keeps the band and ad_Lambda raises it by 1, so F^t K^n maps into
+F^t K^{n+1}.  Let W(n,t,s) be the rank of T_n from bands t..s-1 to bands
+t..s-1, i.e. of F^t K^n -> K^{n+1}/F^s.  Sweep the columns in order and
+take each pivot from the holder in the lowest row band
+(:func:`~nilpoisson.sparse.band_pivot_counts`): every row operation then
+adds a row into a row of an equal or higher band, the rows of band < s
+only mix among themselves, and after the sweep every nonzero row has its
+own leading column.  So for every t <= s, W(n,t,s) is the number of pivots
+with row band < s and column band >= t (the pairing lemma of persistence:
+Cohen-Steiner, Edelsbrunner, Morozov, SoCG 2006).  Three read-outs follow:
+
+* rank T_n = the number of all pivots;
+* rank dbar|B^{p,n-p} = W(n,p,p+1);
+* rank d_1^{p,q} = W(n,p,p+2) - W(n,p,p+1) - W(n,p+1,p+2), n = p + q: the
+  image of the window on B^{p,q} + B^{p+1,q-1} projects onto im dbar|B^{p,q}
+  with kernel ad_Lambda(ker dbar) + im dbar|B^{p+1,q-1} (McCleary, *A User's
+  Guide to Spectral Sequences*, 2nd ed., Thm 2.6).
+
+The banded dbar rank must equal the rank of the dbar block eliminated on
+its own for the Dolbeault table, a fatal check.  The deformed differential
+adds Omega_bar, which lowers p, so its total operator is not filtered this
+way and is ranked without bands.
 
 Dimension statements that are theorems (the injectivity bound, the
 obstruction/degeneracy equivalence, the Hodge equality under a solvable
@@ -28,13 +51,14 @@ can only mean an implementation bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import CenterDimensionError, StructureReport
 from .expressions import ExpressionContext, format_multivector
-from .exterior import ExteriorComplex, GradedElement, Monomial, OperatorMatrix, wedge
+from .exterior import ExteriorComplex, GradedElement, Monomial, wedge
 from .rationals import ZERO, GaussianRational
-from .sparse import SparseMatrix, independent_indices, kernel_vectors, rank, solve
+from .sparse import (SparseMatrix, band_pivot_counts, independent_indices, kernel_vectors,
+                     rank, solve)
 
 
 class ConsistencyError(RuntimeError):
@@ -46,6 +70,11 @@ class ObstructionInputError(ValueError):
 
 
 DEFAULT_DEGREE_CAP = 6
+
+
+def _render(cx: ExteriorComplex, lam: GradedElement) -> str:
+    """Lambda as the CLI prints it, for ConsistencyError messages."""
+    return format_multivector(lam, ExpressionContext(cx.spec, cx.report))
 
 
 def degree_cap(cx: ExteriorComplex, max_degree: Optional[int]) -> int:
@@ -79,77 +108,84 @@ def _degree_blocks(cx: ExteriorComplex, degree: int) -> List[Tuple[int, int]]:
             if degree - p <= cx.n]
 
 
-def _stitch(cx: ExteriorComplex, sources: Sequence[Tuple[int, int]],
-           targets: Sequence[Tuple[int, int]],
-           pieces: Iterable[OperatorMatrix]) -> SparseMatrix:
-    """One matrix from operator blocks placed at their block offsets.
-
-    Columns run over the source blocks in order and rows over the target
-    blocks; every piece must map one source block to one target block.  No
-    two pieces may share a (source, target) pair, so no two pieces meet in
-    one cell and entries are placed, not added.
-    """
-    def offsets(blocks):
-        out, total = {}, 0
-        for blk in blocks:
-            out[blk] = total
-            total += cx.block_dim(*blk)
-        return out, total
-
-    col_offset, n_cols = offsets(sources)
-    row_offset, n_rows = offsets(targets)
-    placed = set()
-    entries: Dict[Tuple[int, int], GaussianRational] = {}
-    for piece in pieces:
-        pair = (piece.source, piece.target)
-        if pair in placed:
-            raise ConsistencyError(
-                f"two operator pieces map block {piece.source} to block {piece.target}")
-        placed.add(pair)
-        row_base, col_base = row_offset[piece.target], col_offset[piece.source]
-        for (r, c), value in piece.matrix.entries.items():
-            entries[(row_base + r, col_base + c)] = value
-    return SparseMatrix(n_rows, n_cols, entries)
+def _bands(cx: ExteriorComplex, blocks: Sequence[Tuple[int, int]]) -> List[int]:
+    """The filtration band p of every basis position of the blocks, in order."""
+    return [p for (p, q) in blocks for _ in range(cx.block_dim(p, q))]
 
 
 def total_operator(cx: ExteriorComplex, summands: Sequence[GradedElement],
                    degree: int) -> SparseMatrix:
     """The matrix of dbar + sum of ad_(summand) on K^degree -> K^{degree+1}.
 
-    dbar maps B^{p,q} to B^{p,q+1} and ad_E, for E of bidegree (a,b), to
-    B^{p+a-1,q+b}.  The summands must therefore have pairwise distinct
-    bidegrees, none of them (1,1), so that no two pieces leaving one block
-    land on the same target block; :func:`_stitch` raises ConsistencyError
-    otherwise.  The callers pass Lambda, of bidegree (2,0), and for the
-    deformed complex also Omega_bar, of bidegree (0,2).
+    Columns run over the blocks of K^degree and rows over those of
+    K^{degree+1}, both in descending p.  dbar maps B^{p,q} to B^{p,q+1} and
+    ad_E, for E of bidegree (a,b), to B^{p+a-1,q+b}.  The summands must
+    therefore have pairwise distinct bidegrees, none of them (1,1), so that
+    no two pieces leaving one block land on the same target block: entries
+    are placed, not added, and a repeated (source, target) pair raises
+    ConsistencyError.  The callers pass Lambda, of bidegree (2,0), and for
+    the deformed complex also Omega_bar, of bidegree (0,2).
     """
-    sources = _degree_blocks(cx, degree)
-    targets = _degree_blocks(cx, degree + 1)
-    pieces = []
-    for (p, q) in sources:
-        operators = [cx.operator_block("dbar", p, q)]
-        operators += [cx.operator_block("ad", p, q, element) for element in summands if element]
-        for piece in operators:
-            if piece.target in targets:
-                pieces.append(piece)
-            elif piece.matrix.entries:
+    row_offset: Dict[Tuple[int, int], int] = {}
+    n_rows = 0
+    for block in _degree_blocks(cx, degree + 1):
+        row_offset[block] = n_rows
+        n_rows += cx.block_dim(*block)
+    entries: Dict[Tuple[int, int], GaussianRational] = {}
+    col_base = 0
+    for (p, q) in _degree_blocks(cx, degree):
+        pieces = [cx.operator_block("dbar", p, q)]
+        pieces += [cx.operator_block("ad", p, q, element) for element in summands if element]
+        reached = set()
+        for piece in pieces:
+            if piece.target in reached:
                 raise ConsistencyError(
-                    f"operator {piece.source}->{piece.target} escapes degree {degree + 1}")
-    return _stitch(cx, sources, targets, pieces)
+                    f"two operator pieces map block {piece.source} to block {piece.target}")
+            reached.add(piece.target)
+            row_base = row_offset.get(piece.target)
+            if row_base is None:
+                if piece.matrix.entries:
+                    raise ConsistencyError(
+                        f"operator {piece.source}->{piece.target} escapes degree {degree + 1}")
+                continue
+            for (r, c), value in piece.matrix.entries.items():
+                entries[(row_base + r, col_base + c)] = value
+        col_base += cx.block_dim(p, q)
+    return SparseMatrix(n_rows, col_base, entries)
+
+
+def _pivot_counts(cx: ExteriorComplex, lam: GradedElement,
+                  degree: int) -> Dict[Tuple[int, int], int]:
+    """Pivots of T_degree = dbar + ad_Lambda per (row band, column band), memoized.
+
+    One banded sweep of :func:`~nilpoisson.sparse.band_pivot_counts` over
+    :func:`total_operator`; see the module docstring for what the counts give.
+    """
+    key = (lam.cache_key(), degree)
+    counts = cx.pivot_counts.get(key)
+    if counts is None:
+        counts = band_pivot_counts(total_operator(cx, [lam], degree),
+                                   _bands(cx, _degree_blocks(cx, degree + 1)),
+                                   _bands(cx, _degree_blocks(cx, degree)))
+        cx.pivot_counts[key] = counts
+    return counts
+
+
+def _window_rank(counts: Dict[Tuple[int, int], int], t: int, s: int) -> int:
+    """W(n, t, s): the rank of T_n from bands t..s-1 to bands t..s-1."""
+    return sum(k for (row, col), k in counts.items() if row < s and col >= t)
 
 
 def total_cohomology(cx: ExteriorComplex, lam: GradedElement,
                      max_degree: Optional[int] = None) -> Dict[int, int]:
     """dim H^n of dbar_Lambda for n = 0..max_degree, by exact rank."""
     cap = degree_cap(cx, max_degree)
-    ranks: Dict[int, int] = {}
     dims: Dict[int, int] = {}
     previous_rank = 0
     for n in range(cap + 1):
-        matrix = total_operator(cx, [lam], n)
-        ranks[n] = rank(matrix)
-        dims[n] = cx.k_dim(n) - ranks[n] - previous_rank
-        previous_rank = ranks[n]
+        r = sum(_pivot_counts(cx, lam, n).values())
+        dims[n] = cx.k_dim(n) - r - previous_rank
+        previous_rank = r
     return dims
 
 
@@ -167,28 +203,25 @@ def first_page(cx: ExteriorComplex, lam: GradedElement,
                max_total: Optional[int] = None) -> FirstPage:
     """E_1 dimensions and the exact rank of every induced d_1 block.
 
-    With D = dbar|B^{p,q}, A = ad_Lambda|B^{p,q} and D' = dbar|B^{p+1,q-1},
-    the two-row window M = [[D, 0], [A, D']] of the total operator on
-    B^{p,q} + B^{p+1,q-1} has an image projecting onto im D, with kernel
-    A(ker D) + im D'.  So rank d_1^{p,q} = rank M - rank D - rank D', with
-    rank D and rank D' memoized on their blocks.  The ad piece leaving
-    B^{p+1,q-1} for filtration row p+2 lies outside the window and is left
-    out.
+    rank d_1^{p,q} = W(n,p,p+2) - W(n,p,p+1) - W(n,p+1,p+2) with n = p + q,
+    read from the banded pivot counts of T_n (see the module docstring).
+    W(n,p,p+1) is rank dbar|B^{p,q}; it must equal the rank of that block
+    on its own, eliminated independently for the Dolbeault table, or
+    ConsistencyError is raised.
     """
     e1 = dolbeault_dims(cx, max_total)
     d1_ranks: Dict[Tuple[int, int], int] = {}
     for (p, q) in e1:
-        d1_ranks[(p, q)] = 0
-        if not lam or e1[(p, q)] == 0 or p + 1 > cx.n:
-            continue
-        ad_block = cx.operator_block("ad", p, q, lam)
-        if ad_block.matrix.is_zero():
-            continue
-        dbar_blocks = [cx.operator_block("dbar", p + 1, q - 1)] if q > 0 else []
-        dbar_blocks.append(cx.operator_block("dbar", p, q))
-        window = _stitch(cx, [block.source for block in dbar_blocks],
-                         [(p + 1, q), (p, q + 1)], dbar_blocks + [ad_block])
-        d1_ranks[(p, q)] = rank(window) - sum(block.rank() for block in dbar_blocks)
+        counts = _pivot_counts(cx, lam, p + q)
+        dbar_rank = _window_rank(counts, p, p + 1)
+        block_rank = cx.operator_block("dbar", p, q).rank()
+        if dbar_rank != block_rank:
+            raise ConsistencyError(
+                f"{cx.spec.name}, Lambda = {_render(cx, lam)}: dbar on B^{{{p},{q}}} has "
+                f"rank {dbar_rank} in the banded elimination of K^{p + q} but rank "
+                f"{block_rank} as a block")
+        d1_ranks[(p, q)] = (_window_rank(counts, p, p + 2) - dbar_rank
+                            - _window_rank(counts, p + 1, p + 2))
     degenerate = all(v == 0 for v in d1_ranks.values())
     return FirstPage(e1=e1, d1_ranks=d1_ranks, degenerate=degenerate)
 
@@ -289,16 +322,23 @@ def check_obstruction_verdict(cx: ExteriorComplex, lam: GradedElement, kind: str
     """Whether the obstruction ``kind`` for lam = V ^ T says degenerate.
 
     For such lam the obstruction is equivalent to first-page degeneracy,
-    so disagreeing with ``page`` raises :class:`ConsistencyError`.  An
-    unsolvable obstruction shows up as d_1 != 0 at (0,1), so the check
-    applies whenever the page reaches that block.
+    and an unsolvable obstruction is exactly d_1^{0,1} != 0.  So whenever
+    ``page`` reaches the block (0,1), disagreeing with its degeneracy, or
+    an unsolvable verdict with d_1^{0,1} = 0, raises
+    :class:`ConsistencyError`.  A page at cap 1 is enough for an
+    unsolvable verdict.
     """
     degenerate = kind in ("trivial_action", "solvable")
-    if (0, 1) in page.e1 and degenerate != page.degenerate:
-        rendered = format_multivector(lam, ExpressionContext(cx.spec, cx.report))
+    if (0, 1) not in page.e1:
+        return degenerate
+    if degenerate != page.degenerate:
         raise ConsistencyError(
-            f"{cx.spec.name}, Lambda = {rendered}: obstruction {kind!r} says "
+            f"{cx.spec.name}, Lambda = {_render(cx, lam)}: obstruction {kind!r} says "
             f"degenerate={degenerate} but the d_1 table says degenerate={page.degenerate}")
+    if not degenerate and page.d1_ranks[(0, 1)] == 0:
+        raise ConsistencyError(
+            f"{cx.spec.name}, Lambda = {_render(cx, lam)}: obstruction {kind!r} but "
+            "d_1 vanishes on E_1^{0,1}")
     return degenerate
 
 

@@ -333,6 +333,7 @@ class ExteriorComplex:
         self._basis_index: Dict[Tuple[int, int], Dict[Monomial, int]] = {}
         self._blocks: Dict[tuple, OperatorMatrix] = {}   # (kind, p, q[, key])
         self._images_memo: dict = {}   # (key, side, degree) -> per-monomial image terms
+        self.pivot_counts: dict = {}   # (Lambda key, degree) -> banded pivot counts of T_degree
         # the generator table: dbar(X_j), and the row of nonzero brackets
         # [g, h] of each generator g, read as the images of ad_g
         dbar_images: Dict[Generator, GradedElement] = {}

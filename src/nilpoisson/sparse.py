@@ -13,6 +13,14 @@ with both dimensions under :data:`DENSE_CUTOFF` use a dense elimination on
 scalars instead.  Both paths compute the reduced row echelon form, which is
 unique, so they agree entry for entry.
 
+:func:`band_pivot_counts` runs the same forward sweep with a banded pivot
+rule: each pivot comes from the holder in the lowest row band (ties: the
+shortest row, then the lower index), so a row is only ever added into a row
+of an equal or higher band.  With the columns in descending band, the pivots
+with row band < s and column band >= t then count the rank of the submatrix
+from the columns of band >= t to the rows of band < s, for every t and s
+(the pairing lemma of persistence; see :mod:`nilpoisson.cohomology`).
+
 Spans of coordinate vectors (the lower central series, layers and
 membership tests in :mod:`nilpoisson.algebra` and
 :mod:`nilpoisson.cohomology`) use the same triple elimination:
@@ -177,19 +185,26 @@ class _Echelon:
         self.pivot_rows: set = set()
         self.rhs = [value.triple for value in rhs] if rhs is not None else None
 
-    def forward(self) -> None:
+    def forward(self, row_band: Optional[Sequence[int]] = None) -> None:
+        """Forward sweep; with ``row_band``, pivots come from the lowest band first."""
         row_data = self.row_data
         # unpivoted rows holding each column
         col_to_rows: Dict[int, set] = {}
         for r, data in row_data.items():
             for c in data:
                 col_to_rows.setdefault(c, set()).add(r)
+        if row_band is None:
+            def key(r):
+                return len(row_data[r]), r
+        else:
+            def key(r):
+                return row_band[r], len(row_data[r]), r
         for c in sorted(col_to_rows):
             holders = col_to_rows.pop(c)
             if len(holders) == 1:
                 pivot = next(iter(holders))
             elif holders:
-                pivot = min(holders, key=lambda r: (len(row_data[r]), r))
+                pivot = min(holders, key=key)
             else:
                 continue
             self.pivots.append((pivot, c))
@@ -337,6 +352,22 @@ def rank(matrix: SparseMatrix) -> int:
     ech = _Echelon(matrix)
     ech.forward()
     return ech.rank()
+
+
+def band_pivot_counts(matrix: SparseMatrix, row_band: Sequence[int],
+                      col_band: Sequence[int]) -> Dict[Tuple[int, int], int]:
+    """Pivots per (row band, column band) of one sweep with the banded pivot rule.
+
+    ``row_band[r]`` and ``col_band[c]`` label each row and column; the
+    counts add up to the rank.
+    """
+    ech = _Echelon(matrix)
+    ech.forward(row_band)
+    counts: Dict[Tuple[int, int], int] = {}
+    for r, c in ech.pivots:
+        key = (row_band[r], col_band[c])
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def kernel_vectors(matrix: SparseMatrix) -> List[Dict[int, GaussianRational]]:

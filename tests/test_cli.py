@@ -144,6 +144,56 @@ def test_obstruction_disagreeing_with_the_first_page_exits_2(capsys, monkeypatch
                    "degenerate=True\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "w4n6:0", "--poisson", "V^T1"),
+    ("obstruction", "w4n6:0", "--t", "T1"),
+])
+def test_unsolvable_obstruction_with_zero_d1_at_01_exits_2(capsys, monkeypatch, argv):
+    """An unsolvable verdict needs d_1^{0,1} != 0, not only a non-degenerate page."""
+    import dataclasses
+
+    from nilpoisson import cli, cohomology
+
+    real = cohomology.first_page
+
+    def flattened(*args, **kwargs):
+        page = real(*args, **kwargs)
+        return dataclasses.replace(page, d1_ranks={**page.d1_ranks, (0, 1): 0},
+                                   degenerate=False)
+
+    monkeypatch.setattr(cohomology, "first_page", flattened)
+    monkeypatch.setattr(cli, "first_page", flattened)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("internal consistency failure: w4n6:0, Lambda = -T1^V: obstruction "
+                   "'unsolvable' but d_1 vanishes on E_1^{0,1}\n")
+
+
+def test_banded_dbar_rank_disagreeing_with_its_block_exits_2(capsys, monkeypatch):
+    """The dbar rank read from the banded elimination is checked against the block."""
+    from nilpoisson.exterior import OperatorMatrix
+
+    real = OperatorMatrix.rank
+    true_rank = {}
+
+    def skewed(self):
+        value = real(self)
+        if (self.source, self.target) == ((1, 1), (1, 2)):
+            true_rank["dbar"] = value
+            return value + 1
+        return value
+
+    monkeypatch.setattr(OperatorMatrix, "rank", skewed)
+    code, out, err = run_cli(capsys, "analyze", "w4n6:0", "--poisson", "V^T1", "--json")
+    assert code == 2
+    assert out == ""
+    banded = true_rank["dbar"]
+    assert err == ("internal consistency failure: w4n6:0, Lambda = -T1^V: dbar on B^{1,1} "
+                   f"has rank {banded} in the banded elimination of K^2 but rank "
+                   f"{banded + 1} as a block\n")
+
+
 @pytest.mark.parametrize("argv, degrees_key", [
     (("analyze", "w4n6:0", "--poisson", "V^T1", "--json"), "hn_lambda"),
     (("deform", "w4n6:0", "--poisson", "V^T2", "--omega", "rho_bar^w1_bar", "--json"), "dims"),

@@ -180,6 +180,63 @@ def test_d1_ranks_match_the_kernel_lift_oracle_on_random_two_step(cx, data):
     assert first_page(cx, lam, cx.dim_l).d1_ranks == _oracle_d1_ranks(cx, lam, cx.dim_l)
 
 
+def _stitched_window(cx, lam, n, t, s):
+    """T_n from bands t..s-1 of K^n to bands t..s-1 of K^{n+1}, placed block by block."""
+    def blocks(degree):
+        offsets, total = {}, 0
+        for p in range(t, min(s, degree + 1, cx.n + 1)):
+            if degree - p <= cx.n:
+                offsets[(p, degree - p)] = total
+                total += cx.block_dim(p, degree - p)
+        return offsets, total
+
+    col_offset, cols = blocks(n)
+    row_offset, rows = blocks(n + 1)
+    entries = {}
+    for source, col_base in col_offset.items():
+        pieces = [cx.operator_block("dbar", *source)]
+        if lam:
+            pieces.append(cx.operator_block("ad", *source, lam))
+        for piece in pieces:
+            if piece.target in row_offset:
+                for (r, c), value in piece.matrix.entries.items():
+                    entries[(row_offset[piece.target] + r, col_base + c)] = value
+    return SparseMatrix(rows, cols, entries)
+
+
+def _assert_band_counts_match_stitched_windows(cx, lam, cap):
+    from nilpoisson.cohomology import _pivot_counts, _window_rank
+
+    for n in range(cap + 1):
+        counts = _pivot_counts(cx, lam, n)
+        for t in range(cx.n + 2):
+            for s in range(t + 1, cx.n + 3):
+                assert _window_rank(counts, t, s) == rank(_stitched_window(cx, lam, n, t, s)), \
+                    (n, t, s)
+
+
+@pytest.mark.parametrize("name, expr, cap", [
+    ("w4n6:1", "V^T1", 10), ("w4n6:2", "V^T1", 7), ("p4n2:2", "V^T2", 10),
+])
+def test_band_counts_match_the_stitched_windows(name, expr, cap):
+    spec = parse_catalog_name(name)
+    cx = ExteriorComplex(spec)
+    lam = parse_multivector(expr, ExpressionContext(spec, cx.report))
+    _assert_band_counts_match_stitched_windows(cx, lam, cap)
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cx=_two_step_complexes(), data=st.data())
+def test_band_counts_match_the_stitched_windows_on_random_two_step(cx, data):
+    t = GradedElement()
+    for i in range(1, cx.n):
+        t = t + V(i) * data.draw(_small_scalars)
+    lam = wedge(V(cx.n), t)
+    cx.validate_poisson(lam)
+    _assert_band_counts_match_stitched_windows(cx, lam, cx.dim_l)
+
+
 # -- obstruction --------------------------------------------------------------------
 
 
@@ -384,17 +441,25 @@ def test_total_operator_matches_elementwise_application(w6_complex, heis1_comple
             assert assembled.entries == direct
 
 
-def test_stitch_rejects_two_pieces_on_one_block_pair(w6_complex):
+def test_total_operator_rejects_two_pieces_on_one_block_pair(w6_complex):
     """Entries are placed, not added, so a repeated block pair is an error."""
-    from nilpoisson.cohomology import _stitch
+    from nilpoisson.cohomology import total_operator
 
-    piece = w6_complex.operator_block("dbar", 1, 0)
-    assert piece.matrix.entries
+    cx = w6_complex
+    # ad of a (1,1) element lands where dbar does: B^{1,0} -> B^{1,1}
     with pytest.raises(ConsistencyError,
                        match=re.escape("two operator pieces map block (1, 0) to block (1, 1)")):
-        _stitch(w6_complex, [piece.source], [piece.target], [piece, piece])
-    single = _stitch(w6_complex, [piece.source], [piece.target], [piece])
-    assert single.entries == piece.matrix.entries
+        total_operator(cx, [wedge(V(1), F(1))], 1)
+    # without summands, T_1 is dbar on B^{1,0} and on B^{0,1}, placed block-diagonally
+    row_base = {(1, 1): cx.block_dim(2, 0), (0, 2): cx.block_dim(2, 0) + cx.block_dim(1, 1)}
+    col_base = {(1, 0): 0, (0, 1): cx.block_dim(1, 0)}
+    expected = {}
+    for source, target in (((1, 0), (1, 1)), ((0, 1), (0, 2))):
+        piece = cx.operator_block("dbar", *source)
+        for (r, c), value in piece.matrix.entries.items():
+            expected[(row_base[target] + r, col_base[source] + c)] = value
+    assert expected
+    assert total_operator(cx, [], 1).entries == expected
 
 
 # -- deformation ----------------------------------------------------------------------
