@@ -258,8 +258,7 @@ def validate(spec: AlgebraSpec) -> StructureReport:
         r = _row("b", j, m)
         rows[(r, k - 1)] = rows.get((r, k - 1), ZERO) + value.conjugate()
     rows = {key: v for key, v in rows.items() if v}
-    system = SparseMatrix(len(row_ids) if row_ids else 0, n, rows)
-    center_vecs = kernel_vectors(system) if row_ids else [{j: GaussianRational(1)} for j in range(n)]
+    center_vecs = kernel_vectors(SparseMatrix(len(row_ids), n, rows))
     center_basis = tuple(_dense(v, n) for v in center_vecs)
     center_units = [_unit_index(v) for v in center_basis]
     center_indices = tuple(sorted(center_units)) if all(u is not None for u in center_units) else None

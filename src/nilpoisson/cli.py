@@ -19,6 +19,7 @@ which indicates a bug, never a property of the input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -243,7 +244,9 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``main`` only reads it."""
     parser = _Parser(prog="nilpoisson",
                      description="Holomorphic Poisson cohomology of nilpotent Lie "
                                  "algebras with abelian complex structures.")
@@ -287,10 +290,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SpecFormatError, CatalogError, AlgebraError, ExpressionError,
+    except (InputError, SpecFormatError, CatalogError, AlgebraError, ExpressionError,
             PoissonError, MalformedRational) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

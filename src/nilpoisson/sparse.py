@@ -8,10 +8,10 @@ solutions back into :class:`GaussianRational` once at exit.  Its pivot row
 for each column is the candidate with the fewest nonzero entries (ties: the
 lower row index), which keeps fill-in low on the operator matrices this
 package produces (a handful of entries per column); back substitution walks
-a column-to-rows index of the pivot rows instead of every pivot.  Matrices
-with both dimensions under :data:`DENSE_CUTOFF` use a dense elimination on
-scalars instead.  Both paths compute the reduced row echelon form, which is
-unique, so they agree entry for entry.
+a column-to-rows index of the pivot rows instead of every pivot.  Every
+kernel and solution is read from this reduced row echelon form, which is
+unique, so neither depends on the pivot rule.  :func:`rank` is the pivot
+count of one forward sweep, at every size.
 
 :func:`band_pivot_counts` runs the same forward sweep with a banded pivot
 rule: each pivot comes from the holder in the lowest row band (ties: the
@@ -38,6 +38,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .rationals import ONE, ZERO, GaussianRational, from_triple
 
+# read by the benchmark tracer only, to split rank spans by shape
 DENSE_CUTOFF = 64
 
 
@@ -106,12 +107,6 @@ class SparseMatrix:
 
     def nnz(self) -> int:
         return len(self.entries)
-
-    def to_dense(self) -> List[List[GaussianRational]]:
-        out = [[ZERO] * self.cols for _ in range(self.rows)]
-        for (r, c), value in self.entries.items():
-            out[r][c] = value
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -291,64 +286,8 @@ class _Echelon:
                 for pivot, c in self.pivots if self.rhs[pivot] != _ZERO_TRIPLE}
 
 
-def _eliminate_dense(matrix: SparseMatrix, rhs: Optional[List[GaussianRational]] = None):
-    """Dense twin of :class:`_Echelon` for small blocks."""
-    data = matrix.to_dense()
-    rows, cols = matrix.rows, matrix.cols
-    rhs = list(rhs) if rhs is not None else None
-    pivots: List[Tuple[int, int]] = []
-    pivot_rows: set = set()
-    for c in range(cols):
-        pivot = None
-        for r in range(rows):
-            if r not in pivot_rows and data[r][c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        pivots.append((pivot, c))
-        pivot_rows.add(pivot)
-        pivot_value = data[pivot][c]
-        for r in range(rows):
-            if r in pivot_rows or not data[r][c]:
-                continue
-            factor = data[r][c] / pivot_value
-            for k in range(c, cols):
-                if data[pivot][k]:
-                    data[r][k] = data[r][k] - factor * data[pivot][k]
-            if rhs is not None:
-                rhs[r] = rhs[r] - factor * rhs[pivot]
-    return data, pivots, pivot_rows, rhs
-
-
-def _reduce_dense(data, pivots, rhs):
-    for pivot, c in pivots:
-        value = data[pivot][c]
-        if value != 1:
-            inv = ONE / value
-            data[pivot] = [v * inv if v else v for v in data[pivot]]
-            if rhs is not None:
-                rhs[pivot] = rhs[pivot] * inv
-    for pivot, c in reversed(pivots):
-        for other, _ in pivots:
-            if other != pivot and data[other][c]:
-                factor = data[other][c]
-                for k in range(len(data[other])):
-                    if data[pivot][k]:
-                        data[other][k] = data[other][k] - factor * data[pivot][k]
-                if rhs is not None:
-                    rhs[other] = rhs[other] - factor * rhs[pivot]
-
-
-def _use_dense(matrix: SparseMatrix) -> bool:
-    return matrix.rows < DENSE_CUTOFF and matrix.cols < DENSE_CUTOFF
-
-
 def rank(matrix: SparseMatrix) -> int:
     """Exact rank over Q(i)."""
-    if _use_dense(matrix):
-        _, pivots, _, _ = _eliminate_dense(matrix)
-        return len(pivots)
     ech = _Echelon(matrix)
     ech.forward()
     return ech.rank()
@@ -372,20 +311,6 @@ def band_pivot_counts(matrix: SparseMatrix, row_band: Sequence[int],
 
 def kernel_vectors(matrix: SparseMatrix) -> List[Dict[int, GaussianRational]]:
     """Kernel basis as sparse coordinate dicts (from the unique RREF)."""
-    if _use_dense(matrix):
-        data, pivots, pivot_rows, _ = _eliminate_dense(matrix)
-        _reduce_dense(data, pivots, None)
-        pivot_cols = {c for _, c in pivots}
-        vectors = []
-        for free in range(matrix.cols):
-            if free in pivot_cols:
-                continue
-            vec: Dict[int, GaussianRational] = {free: ONE}
-            for pivot, c in pivots:
-                if data[pivot][free]:
-                    vec[c] = -data[pivot][free]
-            vectors.append(vec)
-        return vectors
     ech = _Echelon(matrix)
     ech.forward()
     ech.reduce()
@@ -401,16 +326,6 @@ def solve(matrix: SparseMatrix, b: Sequence[GaussianRational]) -> Optional[List[
     if len(b) != matrix.rows:
         raise ValueError(f"rhs length {len(b)} != rows {matrix.rows}")
     rhs = [v if isinstance(v, GaussianRational) else GaussianRational(v) for v in b]
-    if _use_dense(matrix):
-        data, pivots, pivot_rows, rhs = _eliminate_dense(matrix, rhs)
-        for r in range(matrix.rows):
-            if r not in pivot_rows and rhs[r]:
-                return None
-        _reduce_dense(data, pivots, rhs)
-        solution = [ZERO] * matrix.cols
-        for pivot, c in pivots:
-            solution[c] = rhs[pivot]
-        return solution
     ech = _Echelon(matrix, rhs)
     ech.forward()
     if not ech.consistent():

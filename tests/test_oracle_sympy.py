@@ -5,8 +5,7 @@ its rank, its reduced row echelon form (unique, so kernel vectors and the
 solution with free variables zero can be read off it entry for entry), the
 span helpers (an RREF basis, the indices where the rank of a prefix grows)
 and the ranks of the total operators must agree with ``nilpoisson.sparse``.
-Shapes on both sides of ``DENSE_CUTOFF`` are drawn, so both the dense twin
-and the sparse triple elimination are covered.
+Small shapes and shapes of 64..76 with operator-like densities are drawn.
 """
 
 import random
@@ -62,8 +61,8 @@ def _rref_rows(dm: DomainMatrix):
 
 # -- random sparse matrices with random-2step-sized entries ---------------------------
 
-# Both sides under DENSE_CUTOFF run the dense twin, both above it the triple
-# path; the large matrices get the few entries per row of an operator block.
+# small matrices at any density, and large ones with the few entries per row
+# of an operator block.
 _sizes = pytest.mark.parametrize("sizes,densities", [
     (st.integers(1, 12), (0.05, 0.15, 0.4)),
     (st.integers(DENSE_CUTOFF, DENSE_CUTOFF + 12), (0.02, 0.04, 0.08)),
@@ -146,6 +145,7 @@ def test_solve_matches_the_sympy_rref(sizes, densities, data):
 
 
 def test_the_drawn_shapes_reach_the_sparse_path():
+    """A fixed case at the smallest of the large drawn shapes."""
     m = SparseMatrix(DENSE_CUTOFF, DENSE_CUTOFF + 1,
                      {(i, i): gauss(Fraction(1, 1 + i % 4), i % 3 - 1) for i in range(DENSE_CUTOFF)})
     assert rank(m) == _domain_matrix(m).rank() == DENSE_CUTOFF
