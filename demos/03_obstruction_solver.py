@@ -20,9 +20,8 @@ def solve_for(name, t_label):
     spec = parse_catalog_name(name)
     cx = ExteriorComplex(spec)
     context = ExpressionContext(spec, cx.report)
-    v_index = cx.report.center_indices[0]
     t_index = spec.labels.index(t_label) + 1
-    result = obstruction(cx, v_index, GradedElement.vector(t_index))
+    result = obstruction(cx, GradedElement.vector(t_index))
     line = f"{name:<22} T = {t_label:<3} -> {result.kind}"
     if result.kind == "solvable":
         x = result.solution_element()

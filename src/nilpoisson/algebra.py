@@ -22,13 +22,16 @@ goes through the exact triple elimination of :mod:`nilpoisson.sparse`
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .rationals import ZERO, GaussianRational
 from .sparse import SparseMatrix, independent_indices, kernel_vectors, span_basis
 
 Vector = Dict[int, GaussianRational]  # sparse coordinates
+
+_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class AlgebraError(ValueError):
@@ -74,6 +77,13 @@ class AlgebraSpec:
             raise AlgebraError(f"expected {self.n} labels, got {len(labels)}")
         if len(set(labels)) != self.n:
             raise AlgebraError("basis labels must be distinct")
+        reserved = {f"w{i}_bar" for i in range(1, self.n + 1)} | {"rho_bar"}
+        for label in labels:
+            # labels are names in the expression grammar, beside the form names
+            if not _LABEL_RE.fullmatch(label):
+                raise AlgebraError(f"basis label {label!r} is not a name [A-Za-z_][A-Za-z0-9_]*")
+            if label in reserved:
+                raise AlgebraError(f"basis label {label!r} is reserved for a (0,1)-form")
         clean: Dict[Tuple[int, int, int], GaussianRational] = {}
         for (k, j, m), value in dict(self.constants).items():
             for idx in (k, j, m):
@@ -104,10 +114,6 @@ class AlgebraSpec:
     def a(self, k: int, j: int, m: int) -> GaussianRational:
         """A^m_{kj}: the X_m coefficient of [Xbar_k, X_j]."""
         return self.constants.get((k, j, m), ZERO)
-
-    def b(self, k: int, j: int, m: int) -> GaussianRational:
-        """B^m_{kj} = -conj(A^m_{jk}): the derived Xbar_m coefficient."""
-        return -self.a(j, k, m).conjugate()
 
     @property
     def dim_l(self) -> int:
@@ -158,34 +164,25 @@ class StructureReport:
     """Validated structure: step, center, and the layer decomposition.
 
     ``t_layers[l-1]`` realizes the l-th graded piece of g^{1,0} as a tuple
-    of coordinate vectors over the (1,0) basis; ``t_layer_indices`` gives
-    the same layers as basis-index sets whenever every layer vector is a
-    standard basis vector (always the case for the built-in catalog), and
-    None for a layer otherwise.  The top layer lies inside the center.
+    of sparse coordinate vectors over the (1,0) basis (0-based coordinate
+    j-1 for X_j); ``t_layer_indices`` gives the same layers as basis-index
+    sets whenever every layer vector is a multiple of a basis vector (always
+    the case for the built-in catalog), and None for a layer otherwise.  The
+    top layer lies inside the center.
     """
 
     step: int
-    jacobi_ok: bool
     dim_center: int
-    center_basis: Tuple[Tuple[GaussianRational, ...], ...]
     center_indices: Optional[Tuple[int, ...]]
-    t_layers: Tuple[Tuple[Tuple[GaussianRational, ...], ...], ...]
+    t_layers: Tuple[Tuple[Vector, ...], ...]
     t_layer_indices: Tuple[Optional[Tuple[int, ...]], ...]
 
 
-def _unit_index(vector: Tuple[GaussianRational, ...]) -> Optional[int]:
-    """1-based index when the vector is a scalar multiple of a basis vector."""
-    support = [i for i, v in enumerate(vector) if v]
-    if len(support) == 1:
-        return support[0] + 1
-    return None
-
-
-def _dense(vec: Vector, length: int) -> Tuple[GaussianRational, ...]:
-    out = [ZERO] * length
-    for c, v in vec.items():
-        out[c] = v
-    return tuple(out)
+def _unit_indices(vectors: Sequence[Vector]) -> Optional[Tuple[int, ...]]:
+    """Sorted 1-based indices when every vector is a multiple of a basis vector."""
+    if any(len(v) != 1 for v in vectors):
+        return None
+    return tuple(sorted(next(iter(v)) + 1 for v in vectors))
 
 
 def validate(spec: AlgebraSpec) -> StructureReport:
@@ -238,30 +235,13 @@ def validate(spec: AlgebraSpec) -> StructureReport:
         series.append(nxt)
     step = len(series)  # series[0] = g^1, ..., series[step-1] = g^step = 0
 
-    # Center intersected with g^{1,0}: coefficients c_j with
-    # sum_j c_j A^m_{kj} = 0 and sum_j c_j conj(A^m_{jk}) = 0 for all k, m.
-    rows: Dict[Tuple[int, int], GaussianRational] = {}
-    row_ids: Dict[Tuple[str, int, int], int] = {}
-
-    def _row(tag, k, m):
-        key = (tag, k, m)
-        if key not in row_ids:
-            row_ids[key] = len(row_ids)
-        return row_ids[key]
-
-    for (k, j, m), value in spec.constants.items():
-        # Stored key (k, j, m) carries A^m_{kj}: it enters the holomorphic
-        # constraint row (k, m) at column j, and the conjugate constraint
-        # row (j, m) at column k (as conj(A^m_{kj})).
-        r = _row("a", k, m)
-        rows[(r, j - 1)] = rows.get((r, j - 1), ZERO) + value
-        r = _row("b", j, m)
-        rows[(r, k - 1)] = rows.get((r, k - 1), ZERO) + value.conjugate()
-    rows = {key: v for key, v in rows.items() if v}
-    center_vecs = kernel_vectors(SparseMatrix(len(row_ids), n, rows))
-    center_basis = tuple(_dense(v, n) for v in center_vecs)
-    center_units = [_unit_index(v) for v in center_basis]
-    center_indices = tuple(sorted(center_units)) if all(u is not None for u in center_units) else None
+    # Center intersected with g^{1,0}: c = sum_j c_j X_j is central iff
+    # [Xbar_k, c] = 0 for every k (like-type brackets vanish), one row per
+    # (k, complexified coordinate).
+    rows = {((k - 1) * dim + coord, j - 1): value
+            for k in range(1, n + 1) for j in range(1, n + 1)
+            for coord, value in spec.bracket_conj_vec(k, j).items()}
+    center_vecs = kernel_vectors(SparseMatrix(n * dim, n, rows))
 
     # J-closed filtration of g^{1,0}: project each series term to its (1,0)
     # part (for abelian J this is the (1,0) part of g^l + J g^l).
@@ -271,33 +251,26 @@ def validate(spec: AlgebraSpec) -> StructureReport:
             [proj for vec in series[level - 1] if (proj := {c: v for c, v in vec.items() if c < n})]))
     filtration.append([])  # g_J^step = 0
 
-    layers: List[Tuple[Tuple[GaussianRational, ...], ...]] = []
-    layer_indices: List[Optional[Tuple[int, ...]]] = []
+    layers: List[Tuple[Vector, ...]] = []
     for level in range(1, step + 1):
         inner, outer = filtration[level], filtration[level - 1]
         # Deterministic complement: the basis rows of the enclosing term, in
         # pivot order, that are independent of the inner term and of the rows
         # kept before them.
-        dense_layer = tuple(_dense(outer[i - len(inner)], n)
-                            for i in independent_indices(inner + outer) if i >= len(inner))
-        layers.append(dense_layer)
-        units = [_unit_index(v) for v in dense_layer]
-        layer_indices.append(tuple(sorted(units)) if all(u is not None for u in units) else None)
+        layers.append(tuple(outer[i - len(inner)]
+                            for i in independent_indices(inner + outer) if i >= len(inner)))
 
     if sum(len(layer) for layer in layers) != n:
         raise AlgebraError("layer dimensions do not sum to the complex dimension")
-    top = [{i: val for i, val in enumerate(v) if val} for v in layers[-1]]
-    if len(independent_indices(center_vecs + top)) != len(center_vecs):
+    if len(independent_indices([*center_vecs, *layers[-1]])) != len(center_vecs):
         raise AlgebraError("top layer escapes the center; input is inconsistent")
 
     return StructureReport(
         step=step,
-        jacobi_ok=True,
-        dim_center=len(center_basis),
-        center_basis=center_basis,
-        center_indices=center_indices,
+        dim_center=len(center_vecs),
+        center_indices=_unit_indices(center_vecs),
         t_layers=tuple(layers),
-        t_layer_indices=tuple(layer_indices),
+        t_layer_indices=tuple(_unit_indices(layer) for layer in layers),
     )
 
 

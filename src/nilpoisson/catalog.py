@@ -22,6 +22,7 @@ and emit are exact inverses on valid specs.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -113,16 +114,19 @@ def build_catalog_entry(family: str, parameters: Sequence[int]) -> AlgebraSpec:
     return constructor(*parameters)
 
 
+# -?[0-9]+ per parameter: int() alone would also take "+1", " 1" and "1_0"
+_PARAMETERS_RE = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
 def parse_catalog_name(name: str) -> AlgebraSpec:
     """Resolve compact names like 'w4n6:0' or 'double-heisenberg:2,1'."""
     if ":" not in name:
         raise CatalogError(f"catalog name {name!r} needs the form family:params")
     family, _, params = name.partition(":")
-    try:
-        values = [int(piece) for piece in params.split(",") if piece != ""]
-    except ValueError:
-        raise CatalogError(f"non-integer parameters in {name!r}") from None
-    return build_catalog_entry(family.strip(), values)
+    if not _PARAMETERS_RE.fullmatch(params):
+        raise CatalogError(
+            f"catalog name {name!r} needs integer parameters separated by single commas")
+    return build_catalog_entry(family.strip(), [int(piece) for piece in params.split(",")])
 
 
 def catalog_names() -> List[str]:

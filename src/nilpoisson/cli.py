@@ -31,7 +31,7 @@ from .catalog import (CatalogError, FAMILIES, SpecFormatError, catalog_names,
 from .cohomology import (CohomologyReport, ConsistencyError, DeformationError,
                          ObstructionInputError, analyze, check_obstruction_verdict,
                          deformed_complex, first_page, obstruction)
-from .exterior import ExteriorComplex, GradedElement, PoissonError
+from .exterior import ExteriorComplex, GradedElement, PoissonError, wedge
 from .expressions import ExpressionContext, ExpressionError, format_multivector, parse_multivector
 from .rationals import MalformedRational
 
@@ -107,7 +107,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    spec, report, cx, context = _load(args.target)
+    _, _, cx, context = _load(args.target)
     lam = GradedElement()
     poisson_text = None
     if args.poisson:
@@ -120,11 +120,11 @@ def _cmd_analyze(args) -> int:
     if args.json:
         _print_json(result.to_json_dict())
         return 0
-    _print_report(result, spec)
+    _print_report(result)
     return 0
 
 
-def _print_report(result: CohomologyReport, spec: AlgebraSpec) -> None:
+def _print_report(result: CohomologyReport) -> None:
     print(f"algebra {result.algebra_name}: n = {result.n}, dim L = {result.dim_l}, "
           f"step {result.step}, dim center {result.dim_center}")
     print(f"Poisson bivector: {result.poisson or '0'}")
@@ -163,11 +163,11 @@ def _cmd_obstruction(args) -> int:
     spec, report, cx, context = _load(args.target)
     t = _parse_expression(args.t, context, "--t")
     try:
-        result = obstruction(cx, report.center_indices[0] if report.center_indices else 0, t)
+        result = obstruction(cx, t)
     except (ObstructionInputError, AlgebraError) as exc:
         raise InputError(str(exc)) from None
 
-    lam = GradedElement.vector(report.center_indices[0]).wedge(t)
+    lam = wedge(GradedElement.vector(report.center_indices[0]), t)
     # an unsolvable verdict is checked against d_1^{0,1}, which a cap-1 page holds
     cap = 1 if result.kind == "unsolvable" else None
     check_obstruction_verdict(cx, lam, result.kind, first_page(cx, lam, cap))

@@ -259,28 +259,35 @@ class ObstructionResult:
 
 def _in_top_layer(report: StructureReport, t: GradedElement) -> bool:
     """Whether the (1,0) vector t lies in the t_{k-1} layer (k = step >= 2)."""
-    layer = [{i: v for i, v in enumerate(vec) if v} for vec in report.t_layers[report.step - 2]]
+    layer = report.t_layers[report.step - 2]
     vector = {mono.vec[0] - 1: c for mono, c in t.terms()}
-    return len(layer) not in independent_indices(layer + [vector])
+    return len(layer) not in independent_indices([*layer, vector])
 
 
-def obstruction(cx: ExteriorComplex, v_index: int, t: GradedElement) -> ObstructionResult:
+def obstruction(cx: ExteriorComplex, t: GradedElement) -> ObstructionResult:
     """Solve ad_{V^T}(rho_bar) = dbar X for X in t^{1,0}.
 
-    Requires a one-dimensional (1,0) center spanned by basis index v_index
-    and T inside the t_{k-1} layer.  Returns trivial_action when the
-    bracket action on rho_bar already vanishes (then ad_Lambda = 0
-    identically); otherwise the system is the contraction identity
+    Requires a one-dimensional (1,0) center spanned by a basis vector V and
+    T inside the t_{k-1} layer.  Returns trivial_action when the bracket
+    action on rho_bar already vanishes (then ad_Lambda = 0 identically);
+    otherwise the system is the contraction identity
     iota_T d(rho_bar) = -iota_X d(rho), and solvability is equivalent to
     first-page degeneracy for this Lambda.
+
+    The system matrix is the memoized dbar block B^{1,0} -> B^{1,1} itself.
+    V is central, so dbar V = 0: its column is zero (checked, fatal), never
+    takes a pivot, and its variable stays 0, so the solution on the other
+    columns is the one on t^{1,0} alone.
     """
     report = cx.report
     if report.dim_center != 1:
         raise CenterDimensionError(
             f"obstruction needs dim c^{{1,0}} = 1, got {report.dim_center}")
-    if report.center_indices != (v_index,):
+    if report.center_indices is None:
         raise CenterDimensionError(
-            f"basis index {v_index} does not span the center {report.center_indices}")
+            "obstruction needs a coordinate center; the (1,0) center is not spanned "
+            "by a basis vector")
+    v_index, = report.center_indices
     if report.step < 2:
         raise ObstructionInputError("abelian algebra has no t_{k-1} layer")
 
@@ -297,24 +304,20 @@ def obstruction(cx: ExteriorComplex, v_index: int, t: GradedElement) -> Obstruct
     if not rhs_element:
         return ObstructionResult(kind="trivial_action", t_indices=t_indices)
 
-    # dbar restricted to t^{1,0} inside B^{1,0} -> B^{1,1}
-    dbar_block = cx.operator_block("dbar", 1, 0)
-    column_of = {index: pos for pos, index in enumerate(t_indices)}
-    entries = {}
-    for (r, c), value in dbar_block.matrix.entries.items():
-        source_index = cx.basis(1, 0)[c].vec[0]
-        if source_index in column_of:
-            entries[(r, column_of[source_index])] = value
-    system = SparseMatrix(dbar_block.matrix.rows, len(t_indices), entries)
-    b = [ZERO] * system.rows
+    block = cx.operator_block("dbar", 1, 0)
+    v_column = cx.basis_index(1, 0)[((v_index,), ())]
+    if any(c == v_column for _, c in block.matrix.entries):
+        raise ConsistencyError(
+            f"{cx.spec.name}: dbar of the central vector {cx.spec.label(v_index)} is nonzero")
+    b = [ZERO] * block.matrix.rows
     for pos, value in cx.coordinates(rhs_element, 1, 1).items():
         b[pos] = value
-    x = solve(system, b)
+    x = solve(block.matrix, b)
     if x is None:
         return ObstructionResult(kind="unsolvable", t_indices=t_indices)
-    unique = rank(system) == len(t_indices)
     return ObstructionResult(kind="solvable", t_indices=t_indices,
-                             solution=tuple(x), unique=unique)
+                             solution=tuple(x[i - 1] for i in t_indices),
+                             unique=block.rank() == len(t_indices))
 
 
 def check_obstruction_verdict(cx: ExteriorComplex, lam: GradedElement, kind: str,
@@ -516,11 +519,11 @@ class CohomologyReport:
         }
 
 
-def _detect_center_wedge(cx: ExteriorComplex, lam: GradedElement):
+def _detect_center_wedge(cx: ExteriorComplex, lam: GradedElement) -> Optional[GradedElement]:
     """Decompose lam as V ^ T for the coordinate one-dimensional center.
 
-    Returns (v_index, T) or None when lam is not of that shape (or the
-    hypotheses on the center fail).
+    Returns T, or None when lam is not of that shape (or the hypotheses on
+    the center fail).
     """
     report = cx.report
     if not lam or report.dim_center != 1 or report.center_indices is None:
@@ -538,7 +541,7 @@ def _detect_center_wedge(cx: ExteriorComplex, lam: GradedElement):
         return None
     if report.step < 2 or not _in_top_layer(report, t):
         return None
-    return v_index, t
+    return t
 
 
 def analyze(cx: ExteriorComplex, lam: Optional[GradedElement] = None,
@@ -565,10 +568,9 @@ def analyze(cx: ExteriorComplex, lam: Optional[GradedElement] = None,
 
     obstruction_kind = None
     obstruction_solution = None
-    detected = _detect_center_wedge(cx, lam)
-    if detected is not None:
-        v_index, t = detected
-        result = obstruction(cx, v_index, t)
+    t = _detect_center_wedge(cx, lam)
+    if t is not None:
+        result = obstruction(cx, t)
         obstruction_kind = result.kind
         if result.solution is not None:
             obstruction_solution = {

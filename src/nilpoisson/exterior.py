@@ -89,9 +89,6 @@ class Monomial(NamedTuple):
         return len(self.vec) + len(self.form)
 
 
-SCALAR_MONOMIAL = Monomial()
-
-
 def _merge_ascending(a: Tuple[int, ...], b: Tuple[int, ...]):
     """Merge strictly ascending tuples; (merged, sign) or None on collision."""
     if not a:
@@ -157,10 +154,6 @@ class GradedElement:
     @classmethod
     def form(cls, index: int, coeff: Coefficient = 1) -> "GradedElement":
         return cls({Monomial((), (index,)): _as_scalar(coeff)})
-
-    @classmethod
-    def scalar(cls, coeff: Coefficient) -> "GradedElement":
-        return cls({SCALAR_MONOMIAL: _as_scalar(coeff)})
 
     @classmethod
     def monomial(cls, mono: Monomial, coeff: Coefficient = 1) -> "GradedElement":
@@ -235,9 +228,6 @@ class GradedElement:
 
     __rmul__ = __mul__
 
-    def wedge(self, other: "GradedElement") -> "GradedElement":
-        return wedge(self, other)
-
     def __eq__(self, other):
         if not isinstance(other, GradedElement):
             return NotImplemented
@@ -287,11 +277,7 @@ def wedge(a: GradedElement, b: GradedElement) -> GradedElement:
     return out
 
 
-# a generator: ("v", j) for X_j, ("f", m) for wbar^m
-Generator = Tuple[str, int]
-
-
-def _accumulate(images: Dict[Generator, GradedElement], generator: Generator,
+def _accumulate(images: Dict[Monomial, GradedElement], generator: Monomial,
                 mono: Monomial, coeff: GaussianRational) -> None:
     images[generator] = images.get(generator, GradedElement()) + GradedElement.monomial(mono, coeff)
 
@@ -334,19 +320,19 @@ class ExteriorComplex:
         self._blocks: Dict[tuple, OperatorMatrix] = {}   # (kind, p, q[, key])
         self._images_memo: dict = {}   # (key, side, degree) -> per-monomial image terms
         self.pivot_counts: dict = {}   # (Lambda key, degree) -> banded pivot counts of T_degree
-        # the generator table: dbar(X_j), and the row of nonzero brackets
-        # [g, h] of each generator g, read as the images of ad_g
-        dbar_images: Dict[Generator, GradedElement] = {}
-        self._bracket_rows: Dict[Generator, Dict[Generator, GradedElement]] = {}
+        # the generator table, keyed by degree-1 monomials: dbar(X_j), and the
+        # row of nonzero brackets [g, h] of each generator g, read as the
+        # images of ad_g
+        dbar_images: Dict[Monomial, GradedElement] = {}
+        self._bracket_rows: Dict[Monomial, Dict[Monomial, GradedElement]] = {}
         for (k, j, m), value in spec.constants.items():
+            x_k, w_m = Monomial((k,), ()), Monomial((), (m,))
             # A^m_{kj} wbar^k ^ X_m = -A^m_{kj} X_m ^ wbar^k
-            _accumulate(dbar_images, ("v", j), Monomial((m,), (k,)), -value)
+            _accumulate(dbar_images, Monomial((j,), ()), Monomial((m,), (k,)), -value)
             # [X_k, wbar^m] gains -conj(A^m_{kj}) wbar^j, and [wbar^m, X_k] its negation
             bracket = value.conjugate()
-            _accumulate(self._bracket_rows.setdefault(("v", k), {}), ("f", m),
-                        Monomial((), (j,)), -bracket)
-            _accumulate(self._bracket_rows.setdefault(("f", m), {}), ("v", k),
-                        Monomial((), (j,)), bracket)
+            _accumulate(self._bracket_rows.setdefault(x_k, {}), w_m, Monomial((), (j,)), -bracket)
+            _accumulate(self._bracket_rows.setdefault(w_m, {}), x_k, Monomial((), (j,)), bracket)
         # element cache_key (None for dbar) -> (generator images, odd)
         self._derivations: dict = {None: (dbar_images, True)}
 
@@ -391,7 +377,7 @@ class ExteriorComplex:
     # -- graded derivations ------------------------------------------------------
 
     def _derivation(self, element: Optional[GradedElement], key
-                    ) -> Tuple[Dict[Generator, GradedElement], bool]:
+                    ) -> Tuple[Dict[Monomial, GradedElement], bool]:
         """(generator images, odd) of dbar (element None) or of [element, -].
 
         ``element`` must have one degree parity.  Its images are
@@ -411,24 +397,26 @@ class ExteriorComplex:
         return pair
 
     @staticmethod
-    def _derive(images: Dict[Generator, GradedElement], odd: bool,
+    def _derive(images: Dict[Monomial, GradedElement], odd: bool,
                 element: GradedElement) -> GradedElement:
         """The graded derivation with the given generator images, applied to element.
 
         Each monomial g_1 ^ ... ^ g_k maps to the sum over positions of
         (-1)^{pos if odd} g_1..g_{pos-1} ^ image(g_pos) ^ g_{pos+1}..g_k.
+        ``images`` is keyed by degree-1 monomials, which a plain (vec, form)
+        tuple finds.
         """
         total = GradedElement()
         for mono, coeff in element.terms():
             n_vec = len(mono.vec)
             for pos in range(mono.degree):
                 if pos < n_vec:
-                    image = images.get(("v", mono.vec[pos]))
+                    image = images.get(((mono.vec[pos],), ()))
                     prefix = Monomial(mono.vec[:pos], ())
                     suffix = Monomial(mono.vec[pos + 1:], mono.form)
                 else:
                     r = pos - n_vec
-                    image = images.get(("f", mono.form[r]))
+                    image = images.get(((), (mono.form[r],)))
                     prefix = Monomial(mono.vec, mono.form[:r])
                     suffix = Monomial((), mono.form[r + 1:])
                 if image is None:

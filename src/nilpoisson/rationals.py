@@ -78,21 +78,6 @@ class GaussianRational:
         d = q * s // gcd(q, s)
         self._a, self._b, self._d = re.numerator * (d // q), im.numerator * (d // s), d
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_strings(cls, re: str, im: str = "0") -> "GaussianRational":
-        return cls(parse_rational(re), parse_rational(im))
-
-    @classmethod
-    def from_json(cls, obj) -> "GaussianRational":
-        if not isinstance(obj, dict) or set(obj) - {"re", "im"}:
-            raise MalformedRational(f"expected {{'re': ..., 'im': ...}}, got {obj!r}")
-        return cls.from_strings(str(obj.get("re", "0")), str(obj.get("im", "0")))
-
-    def to_json(self) -> dict:
-        return {"re": format_rational(self.re), "im": format_rational(self.im)}
-
     # -- components ----------------------------------------------------
 
     @property
@@ -112,9 +97,6 @@ class GaussianRational:
 
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
-
-    def is_zero(self) -> bool:
-        return not self
 
     # -- field arithmetic ----------------------------------------------
 

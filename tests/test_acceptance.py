@@ -90,7 +90,7 @@ def test_criterion_3_nondegenerate_pairing_families():
         layer = report.t_layer_indices[report.step - 2]
         assert layer is not None
         for t_index in layer:
-            result = obstruction(cx, v_index, V(t_index))
+            result = obstruction(cx, V(t_index))
             assert result.kind == "solvable", (spec.name, t_index)
             assert result.unique, (spec.name, t_index)
             full = analyze(cx, wedge(V(v_index), V(t_index)))

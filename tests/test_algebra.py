@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilpoisson import (AlgebraSpec, CenterDimensionError, IndexOutOfRange,
+from nilpoisson import (AlgebraError, AlgebraSpec, CenterDimensionError, IndexOutOfRange,
                         JacobiViolation, NotNilpotent, d_rho_matrix, validate)
 from nilpoisson.catalog import (double_heisenberg, heisenberg_ext, p_family, torus,
                                 w_family)
@@ -27,7 +27,6 @@ def test_heisenberg_extension_structure(heis1):
     assert report.step == 2
     assert report.dim_center == 1
     assert report.center_indices == (2,)          # V
-    assert report.jacobi_ok
 
 
 def test_not_nilpotent():
@@ -43,6 +42,36 @@ def test_jacobi_violation():
                        {(1, 1, 2): gauss(1), (2, 2, 1): gauss(1)})
     with pytest.raises(JacobiViolation):
         validate(spec)
+
+
+@pytest.mark.parametrize("labels,message", [
+    (("w1_bar", "T2", "V"), "reserved"),
+    (("T1", "w3_bar", "V"), "reserved"),
+    (("T1", "T2", "rho_bar"), "reserved"),
+    (("T1", "T 2", "V"), "not a name"),
+    (("1T", "T2", "V"), "not a name"),
+    (("T1", "T-2", "V"), "not a name"),
+    (("T1", "", "V"), "not a name"),
+    (("T1", "T2", "V\u2032"), "not a name"),
+])
+def test_labels_outside_the_expression_grammar(labels, message):
+    with pytest.raises(AlgebraError, match=message):
+        AlgebraSpec("labels", 3, labels, {(1, 2, 3): gauss(-HALF)})
+
+
+@pytest.mark.parametrize("labels", [
+    ("w4_bar", "_x", "V"),        # w{i}_bar is reserved only for i <= n
+    ("T1", "T2", "V"), ("X1", "X2", "X3"), ("S1", "T1", "V"), ("w1", "bar", "rho"),
+])
+def test_labels_in_the_expression_grammar(labels):
+    validate(AlgebraSpec("labels", 3, labels, {(1, 2, 3): gauss(-HALF)}))
+
+
+def test_catalog_labels_are_names():
+    from nilpoisson.catalog import FAMILIES, build_catalog_entry
+    for family, (_, arity, _) in FAMILIES.items():
+        for parameters in ([1] * arity, [3] * arity):
+            build_catalog_entry(family, parameters)
 
 
 def test_index_out_of_range():
@@ -73,7 +102,9 @@ def test_non_coordinate_layers(constants, layers, indices, center):
     """Pins the RREF normalisation and the greedy complement order."""
     n = len(layers[0][0])
     report = validate(AlgebraSpec("skew", n, tuple(f"X{j}" for j in range(1, n + 1)), constants))
-    assert report.t_layers == layers
+    dense = tuple(tuple(tuple(vec.get(c, 0) for c in range(n)) for vec in layer)
+                  for layer in report.t_layers)
+    assert dense == layers
     assert report.t_layer_indices == indices
     assert report.center_indices == center
 
@@ -135,10 +166,14 @@ def test_series_brackets_match_the_step(w6, three_step):
 
 
 def test_derived_coefficients_are_an_involution(w6):
-    """Re-deriving A from the derived B coefficients returns A."""
+    """Re-deriving A from the derived B coefficients returns A.
+
+    B^m_{jk} = -conj(A^m_{kj}) is the Xbar_m coefficient of [Xbar_j, X_k].
+    """
     for spec in (heisenberg_ext(2), double_heisenberg(1, 1), p_family(1), w6):
         for (k, j, m), value in spec.constants.items():
-            assert -spec.b(j, k, m).conjugate() == value
+            b = spec.bracket_conj_vec(j, k).get(spec.n + m - 1, gauss(0))
+            assert -b.conjugate() == value
 
 
 # -- the pairing matrix ------------------------------------------------------

@@ -95,7 +95,14 @@ def test_parameter_minimums(bad):
         parse_catalog_name(bad)
 
 
-@pytest.mark.parametrize("bad", ["nosuch:1", "w4n6", "w4n6:x", "double-heisenberg:1"])
+def test_negative_parameter_keeps_the_family_range_message():
+    with pytest.raises(CatalogError, match=r"^w4n6 needs n >= 0, got -1$"):
+        parse_catalog_name("w4n6:-1")
+
+
+@pytest.mark.parametrize("bad", ["nosuch:1", "w4n6", "w4n6:x", "double-heisenberg:1",
+                                 "w4n6:,1", "w4n6:1,", "double-heisenberg:1,,2", "w4n6:+1",
+                                 "w4n6:1_0", "w4n6:", "w4n6: 1", "w4n6:1.0"])
 def test_malformed_catalog_names(bad):
     with pytest.raises(CatalogError):
         parse_catalog_name(bad)

@@ -225,6 +225,51 @@ def test_invalid_catalog_parameters(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("name", ["w4n6:,1", "w4n6:1_0"])
+def test_malformed_catalog_name_exits_1(capsys, name):
+    code, out, err = run_cli(capsys, "validate", name)
+    assert code == 1
+    assert out == ""
+    assert "integer parameters separated by single commas" in err
+
+
+@pytest.mark.parametrize("labels", [["w1_bar", "T2", "V"], ["T1", "T 2", "V"],
+                                    ["T1", "T2", "rho_bar"]])
+def test_label_outside_the_expression_grammar_exits_1(capsys, tmp_path, labels):
+    spec = tmp_path / "labels.json"
+    spec.write_text(json.dumps({"name": "x", "n": 3, "labels": labels, "constants": [
+        {"k": 1, "j": 2, "m": 3, "re": "-1/2", "im": "0"}]}))
+    code, out, err = run_cli(capsys, "validate", str(spec))
+    assert code == 1
+    assert out == ""
+    assert "basis label" in err
+
+
+def test_nonzero_central_dbar_column_exits_2(capsys, monkeypatch):
+    """dbar V = 0 for the central V; a nonzero V column in the obstruction's block is fatal."""
+    from nilpoisson.exterior import ExteriorComplex, OperatorMatrix
+    from nilpoisson.rationals import gauss
+    from nilpoisson.sparse import SparseMatrix
+
+    real = ExteriorComplex.operator_block
+
+    def skewed(self, kind, p, q, element=None):
+        block = real(self, kind, p, q, element)
+        if (kind, p, q) != ("dbar", 1, 0):
+            return block
+        # V is the last basis vector of every catalog family
+        entries = {**block.matrix.entries, (0, self.n - 1): gauss(1)}
+        return OperatorMatrix(block.source, block.target,
+                              SparseMatrix(block.matrix.rows, block.matrix.cols, entries))
+
+    monkeypatch.setattr(ExteriorComplex, "operator_block", skewed)
+    code, out, err = run_cli(capsys, "obstruction", "w4n6:0", "--t", "T1")
+    assert code == 2
+    assert out == ""
+    assert err == ("internal consistency failure: w4n6:0: dbar of the central vector V "
+                   "is nonzero\n")
+
+
 def test_bad_spec_file_location_in_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"name": "x"')

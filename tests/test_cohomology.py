@@ -14,14 +14,15 @@ from math import comb
 
 import pytest
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from nilpoisson import (AlgebraSpec, CenterDimensionError, ExpressionContext,
                         ExteriorComplex, GradedElement, SparseMatrix, analyze,
                         deformed_complex, dolbeault_dims, first_page, hodge_verdict,
                         kernel_vectors, obstruction, parse_catalog_name,
-                        parse_multivector, rank, second_page, total_cohomology, wedge)
+                        parse_multivector, rank, second_page, solve, total_cohomology,
+                        wedge)
 from nilpoisson.catalog import (double_heisenberg, heisenberg_ext, p_family, torus,
                                 w_family)
 from nilpoisson.cohomology import ConsistencyError, NotIntegrable, ObstructionInputError
@@ -243,16 +244,15 @@ def test_band_counts_match_the_stitched_windows_on_random_two_step(cx, data):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_heisenberg_obstruction_always_uniquely_solvable(n):
     cx = ExteriorComplex(heisenberg_ext(n))
-    v_index = n + 1
     for j in range(1, n + 1):
-        result = obstruction(cx, v_index, V(j))
+        result = obstruction(cx, V(j))
         assert result.kind == "solvable"
         assert result.unique
 
 
 def test_heisenberg_solution_value(heis1_complex):
     """For E_11 = -i/2 the unique solution is X = -T1; verify dbar X = ad rho_bar."""
-    result = obstruction(heis1_complex, 2, V(1))
+    result = obstruction(heis1_complex, V(1))
     assert result.solution == (gauss(-1),)
     x = result.solution_element()
     lam = wedge(V(2), V(1))
@@ -260,17 +260,17 @@ def test_heisenberg_solution_value(heis1_complex):
 
 
 def test_w6_trivial_action(w6_complex):
-    assert obstruction(w6_complex, 3, V(2)).kind == "trivial_action"
+    assert obstruction(w6_complex, V(2)).kind == "trivial_action"
 
 
 def test_w6_unsolvable(w6_complex):
-    assert obstruction(w6_complex, 3, V(1)).kind == "unsolvable"
+    assert obstruction(w6_complex, V(1)).kind == "unsolvable"
 
 
 def test_obstruction_solution_satisfies_the_equation():
     cx = ExteriorComplex(p_family(1))
     for j in (1, 2):
-        result = obstruction(cx, 3, V(j))
+        result = obstruction(cx, V(j))
         assert result.kind == "solvable" and result.unique
         lam = wedge(V(3), V(j))
         assert cx.dbar(result.solution_element()) == cx.schouten(lam, F(3))
@@ -279,7 +279,7 @@ def test_obstruction_solution_satisfies_the_equation():
 def test_obstruction_rejects_bad_center():
     cx = ExteriorComplex(torus(2))
     with pytest.raises(CenterDimensionError):
-        obstruction(cx, 1, V(2))
+        obstruction(cx, V(2))
 
 
 def test_obstruction_rejects_vector_outside_layer():
@@ -290,12 +290,81 @@ def test_obstruction_rejects_vector_outside_layer():
     cx = ExteriorComplex(spec)
     assert cx.report.t_layer_indices == ((1,), (2,), (3,))
     with pytest.raises(ObstructionInputError):
-        obstruction(cx, 3, V(1))
+        obstruction(cx, V(1))
 
 
 def test_obstruction_requires_one_dimensional_center(three_step_complex):
     with pytest.raises(CenterDimensionError):
-        obstruction(three_step_complex, 3, V(2))
+        obstruction(three_step_complex, V(2))
+
+
+def _restricted_obstruction(cx, t):
+    """Reference: (kind, solution, unique) solved on dbar restricted to t^{1,0}.
+
+    The columns of the dbar block B^{1,0} -> B^{1,1} are cut down to the
+    non-central basis vectors before solving, and uniqueness is a second
+    rank of that system.
+    """
+    v_index, = cx.report.center_indices
+    t_indices = tuple(i for i in range(1, cx.n + 1) if i != v_index)
+    rhs = cx.schouten(wedge(V(v_index), t), F(v_index))
+    if not rhs:
+        return "trivial_action", None, False
+    block = cx.operator_block("dbar", 1, 0).matrix
+    column_of = {index: pos for pos, index in enumerate(t_indices)}
+    sources = [mono.vec[0] for mono in cx.basis(1, 0)]
+    system = SparseMatrix(block.rows, len(t_indices),
+                          {(r, column_of[sources[c]]): value
+                           for (r, c), value in block.entries.items() if sources[c] in column_of})
+    b = [gauss(0)] * system.rows
+    for pos, value in cx.coordinates(rhs, 1, 1).items():
+        b[pos] = value
+    x = solve(system, b)
+    if x is None:
+        return "unsolvable", None, False
+    return "solvable", tuple(x), rank(system) == len(t_indices)
+
+
+def _assert_matches_restricted(cx, t):
+    result = obstruction(cx, t)
+    assert (result.kind, result.solution, result.unique) == _restricted_obstruction(cx, t)
+
+
+_ACCEPTANCE_OBSTRUCTION = ["heisenberg-ext:1", "heisenberg-ext:2", "heisenberg-ext:3",
+                           "double-heisenberg:1,1", "double-heisenberg:2,1",
+                           "p4n2:1", "p4n2:2", "w4n6:0", "w4n6:1"]
+
+
+@pytest.mark.parametrize("name", _ACCEPTANCE_OBSTRUCTION)
+def test_obstruction_on_the_dbar_block_matches_the_restricted_system(name):
+    """Solving on the whole dbar block gives the restricted system's answer."""
+    cx = ExteriorComplex(parse_catalog_name(name))
+    report = cx.report
+    for t_index in report.t_layer_indices[report.step - 2]:
+        _assert_matches_restricted(cx, V(t_index))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cx=_two_step_complexes(), data=st.data())
+def test_obstruction_matches_the_restricted_system_on_random_two_step(cx, data):
+    assume(cx.report.center_indices == (cx.n,))
+    t = GradedElement()
+    for i in range(1, cx.n):
+        t = t + V(i) * data.draw(_small_scalars)
+    _assert_matches_restricted(cx, t)
+
+
+def test_obstruction_needs_a_coordinate_center():
+    # heisenberg-ext:1 in the basis Y1 = T1, Y2 = T1 + V: every [Ybar_k, Y_j]
+    # is V - conj = (Y2 - Y1) - conj, and the center is spanned by Y2 - Y1
+    spec = AlgebraSpec("skew-center", 2, ("Y1", "Y2"),
+                       {(k, j, m): gauss(1 if m == 2 else -1)
+                        for k in (1, 2) for j in (1, 2) for m in (1, 2)})
+    cx = ExteriorComplex(spec)
+    assert cx.report.dim_center == 1 and cx.report.center_indices is None
+    with pytest.raises(CenterDimensionError, match="not spanned by a basis vector"):
+        obstruction(cx, V(1))
 
 
 # -- Hodge verdicts -------------------------------------------------------------------

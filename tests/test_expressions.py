@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilpoisson import GradedElement, wedge
+from nilpoisson import GradedElement, Monomial, wedge
 from nilpoisson.catalog import double_heisenberg, w_family
 from nilpoisson.expressions import (ExpressionContext, ExpressionError,
                                     format_multivector, parse_multivector)
@@ -97,8 +97,9 @@ def test_format_parse_roundtrip(seed, w6_context):
     rng = random.Random(seed)
     element = GradedElement()
     for _ in range(rng.randint(1, 4)):
-        piece = GradedElement.scalar(gauss(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                                           Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
+        coeff = gauss(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                      Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        piece = GradedElement.monomial(Monomial(), coeff)
         for _ in range(rng.randint(1, 3)):
             index = rng.randint(1, 3)
             generator = (GradedElement.vector(index) if rng.random() < 0.5

@@ -145,11 +145,6 @@ def test_conjugation_is_multiplicative(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
 
 
-@given(scalars)
-def test_json_roundtrip(a):
-    assert GaussianRational.from_json(a.to_json()) == a
-
-
 @pytest.mark.parametrize("text,expected", [
     ("3", Fraction(3)),
     ("-3", Fraction(-3)),
