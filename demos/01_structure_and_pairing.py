@@ -4,15 +4,17 @@ Each entry is a nilpotent Lie algebra with an abelian complex structure,
 described purely by the structure constants of the mixed brackets
 [Xbar_k, X_j].  Validation checks the Jacobi identity, runs the lower
 central series, and computes the center and the layer decomposition of
-the (1,0) part.  For the 2-step entries the contraction of the central
-dual form gives a square matrix whose rank separates the families: it is
-nondegenerate for heisenberg-ext / double-heisenberg / p4n2 and has rank
-n+1 (out of 2n+2) for w4n6.
+the (1,0) part.  For the 2-step entries with a one-dimensional center V,
+dbar(X_j) = -sum_b A^V_{bj} V ^ wbar^b: the memoized dbar block
+B^{1,0} -> B^{1,1} carries the contraction d(rho)(X_j, Xbar_b) = A^V_{bj} of
+the central dual form, and its rank separates the families.  It is
+nondegenerate (rank n-1) for heisenberg-ext / double-heisenberg / p4n2 and
+has rank n+1 (out of 2n+2) for w4n6.
 """
 
-from nilpoisson import d_rho_matrix, validate
+from nilpoisson import (ExpressionContext, ExteriorComplex, GradedElement, format_multivector,
+                        validate)
 from nilpoisson.catalog import parse_catalog_name
-from nilpoisson.sparse import rank
 
 NAMES = [
     "torus:2",
@@ -38,12 +40,19 @@ def show(name):
         names = ", ".join(spec.label(i) for i in indices)
         print(f"  layer t_{level}   : {names}")
     if report.dim_center == 1 and report.step == 2:
-        v_index = report.center_indices[0]
-        pairing = d_rho_matrix(spec, v_index, report)
-        print(f"  pairing     : {pairing.rows}x{pairing.cols}, rank {rank(pairing)}")
-        for r in range(pairing.rows):
-            row = "  ".join(f"{pairing.entry(r, c)!s:>6}" for c in range(pairing.cols))
-            print(f"      [ {row} ]")
+        cx = ExteriorComplex(spec, report)
+        block = cx.operator_block("dbar", 1, 0)
+        rows, cols = cx.basis(1, 1), cx.basis(1, 0)
+        context = ExpressionContext(spec, report)
+        print(f"  dbar B^1,0  : {block.matrix.rows}x{block.matrix.cols}, "
+              f"rank {block.rank()}, nnz {block.matrix.nnz()}")
+        # each nonzero column of the block, read back as the element dbar(X_j)
+        for c, vector in enumerate(cols):
+            image = GradedElement({rows[r]: value
+                                   for (r, col), value in block.matrix.entries.items() if col == c})
+            if image:
+                label = spec.label(vector.vec[0])
+                print(f"      dbar {label} = {format_multivector(image, context)}")
     print()
 
 

@@ -8,8 +8,7 @@ deformed differentials.
 """
 
 from .algebra import (AlgebraError, AlgebraSpec, CenterDimensionError, IndexOutOfRange,
-                      JacobiViolation, NotNilpotent, StructureReport, d_rho_matrix,
-                      validate)
+                      JacobiViolation, NotNilpotent, StructureReport, validate)
 from .catalog import (CatalogError, FAMILIES, SpecFormatError, build_catalog_entry,
                       catalog_names, double_heisenberg, emit_spec, heisenberg_ext,
                       p_family, parse_catalog_name, parse_spec, torus, w_family)

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .rationals import ZERO, GaussianRational
+from .rationals import ZERO, GaussianRational, add_into
 from .sparse import SparseMatrix, independent_indices, kernel_vectors, span_basis
 
 Vector = Dict[int, GaussianRational]  # sparse coordinates
@@ -151,11 +151,7 @@ class AlgebraSpec:
                 else:                          # like-type brackets vanish
                     continue
                 for c, value in piece.items():
-                    acc = out.get(c, ZERO) + coeff * value
-                    if acc:
-                        out[c] = acc
-                    elif c in out:
-                        del out[c]
+                    add_into(out, c, coeff * value)
         return out
 
 
@@ -212,11 +208,7 @@ def validate(spec: AlgebraSpec) -> StructureReport:
                     spec.bracket(spec.bracket(basis_vectors[c], basis_vectors[a]), basis_vectors[b]),
                 ):
                     for coord, value in term.items():
-                        acc = total.get(coord, ZERO) + value
-                        if acc:
-                            total[coord] = acc
-                        elif coord in total:
-                            del total[coord]
+                        add_into(total, coord, value)
                 if total:
                     raise JacobiViolation((_names(a), _names(b), _names(c)))
 
@@ -272,28 +264,3 @@ def validate(spec: AlgebraSpec) -> StructureReport:
         t_layers=tuple(layers),
         t_layer_indices=tuple(_unit_indices(layer) for layer in layers),
     )
-
-
-def d_rho_matrix(spec: AlgebraSpec, v_index: int,
-                 report: Optional[StructureReport] = None) -> SparseMatrix:
-    """Matrix of the contraction d(rho): t^{1,0} -> t^{*(0,1)}.
-
-    Rows and columns run over the non-center basis indices in ascending
-    order; the (b, j) entry is A^V_{bj} = d(rho)(X_j, Xbar_b), rho being
-    the (1,0)-form dual to the one-dimensional center spanned by v_index.
-    """
-    report = report or validate(spec)
-    if report.dim_center != 1:
-        raise CenterDimensionError(
-            f"d_rho needs a one-dimensional (1,0) center, got {report.dim_center}")
-    if report.center_indices != (v_index,):
-        raise CenterDimensionError(
-            f"basis index {v_index} does not span the center {report.center_indices}")
-    t_idx = [i for i in range(1, spec.n + 1) if i != v_index]
-    entries = {}
-    for bi, b in enumerate(t_idx):
-        for ji, j in enumerate(t_idx):
-            value = spec.a(b, j, v_index)
-            if value:
-                entries[(bi, ji)] = value
-    return SparseMatrix(len(t_idx), len(t_idx), entries)

@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import CenterDimensionError, StructureReport
 from .expressions import ExpressionContext, format_multivector
 from .exterior import ExteriorComplex, GradedElement, Monomial, wedge
-from .rationals import ZERO, GaussianRational
+from .rationals import ZERO, GaussianRational, add_into
 from .sparse import (SparseMatrix, band_pivot_counts, independent_indices, kernel_vectors,
                      rank, solve)
 
@@ -72,9 +72,9 @@ class ObstructionInputError(ValueError):
 DEFAULT_DEGREE_CAP = 6
 
 
-def _render(cx: ExteriorComplex, lam: GradedElement) -> str:
-    """Lambda as the CLI prints it, for ConsistencyError messages."""
-    return format_multivector(lam, ExpressionContext(cx.spec, cx.report))
+def _render(cx: ExteriorComplex, element: GradedElement) -> str:
+    """Lambda (or Omega_bar) as the CLI prints it, for ConsistencyError messages."""
+    return format_multivector(element, ExpressionContext(cx.spec, cx.report))
 
 
 def degree_cap(cx: ExteriorComplex, max_degree: Optional[int]) -> int:
@@ -140,13 +140,15 @@ def total_operator(cx: ExteriorComplex, summands: Sequence[GradedElement],
         for piece in pieces:
             if piece.target in reached:
                 raise ConsistencyError(
-                    f"two operator pieces map block {piece.source} to block {piece.target}")
+                    f"{cx.spec.name}: two operator pieces map block {piece.source} "
+                    f"to block {piece.target}")
             reached.add(piece.target)
             row_base = row_offset.get(piece.target)
             if row_base is None:
                 if piece.matrix.entries:
                     raise ConsistencyError(
-                        f"operator {piece.source}->{piece.target} escapes degree {degree + 1}")
+                        f"{cx.spec.name}: operator {piece.source}->{piece.target} "
+                        f"escapes degree {degree + 1}")
                 continue
             for (r, c), value in piece.matrix.entries.items():
                 entries[(row_base + r, col_base + c)] = value
@@ -250,11 +252,8 @@ class ObstructionResult:
     def solution_element(self) -> Optional[GradedElement]:
         if self.solution is None:
             return None
-        total = GradedElement()
-        for index, coeff in zip(self.t_indices, self.solution):
-            if coeff:
-                total = total + GradedElement.vector(index, coeff)
-        return total
+        return GradedElement({Monomial((index,), ()): coeff
+                              for index, coeff in zip(self.t_indices, self.solution)})
 
 
 def _in_top_layer(report: StructureReport, t: GradedElement) -> bool:
@@ -385,8 +384,9 @@ def hodge_verdict(cx: ExteriorComplex, lam: GradedElement,
         row = DegreeComparison(degree=n, h_lambda=hn[n], hpq_sum=total)
         if row.h_lambda > row.hpq_sum:
             raise ConsistencyError(
-                f"dim H^{n}_Lambda = {row.h_lambda} exceeds the Dolbeault sum {row.hpq_sum}; "
-                "this contradicts the injectivity bound and indicates a bug")
+                f"{cx.spec.name}, Lambda = {_render(cx, lam)}: dim H^{n}_Lambda = "
+                f"{row.h_lambda} exceeds the Dolbeault sum {row.hpq_sum}; this "
+                "contradicts the injectivity bound and indicates a bug")
         rows.append(row)
     return HodgeVerdict(hodge=all(r.equal for r in rows), per_degree=tuple(rows))
 
@@ -440,7 +440,9 @@ def deformed_complex(cx: ExteriorComplex, lam: GradedElement, omega_bar: GradedE
     operators = {n: total_operator(cx, summands, n) for n in range(cap + 1)}
     for n in range(cap):
         if not (operators[n + 1] @ operators[n]).is_zero():
-            raise ConsistencyError(f"delta^2 != 0 between K^{n} and K^{n + 2}")
+            raise ConsistencyError(
+                f"{cx.spec.name}, Lambda = {_render(cx, lam)}, Omega_bar = "
+                f"{_render(cx, omega_bar)}: delta^2 != 0 between K^{n} and K^{n + 2}")
 
     dims: Dict[int, int] = {}
     previous_rank = 0
@@ -529,14 +531,15 @@ def _detect_center_wedge(cx: ExteriorComplex, lam: GradedElement) -> Optional[Gr
     if not lam or report.dim_center != 1 or report.center_indices is None:
         return None
     v_index = report.center_indices[0]
-    t = GradedElement()
+    terms = {}
     for mono, coeff in lam.terms():
         if v_index not in mono.vec:
             return None
         if mono.vec[0] == v_index:      # V ^ X_a is canonical when v < a
-            t = t + GradedElement.vector(mono.vec[1], coeff)
+            add_into(terms, Monomial((mono.vec[1],), ()), coeff)
         else:                           # X_a ^ V = -(V ^ X_a)
-            t = t + GradedElement.vector(mono.vec[0], -coeff)
+            add_into(terms, Monomial((mono.vec[0],), ()), -coeff)
+    t = GradedElement(terms)
     if wedge(GradedElement.vector(v_index), t) != lam:
         return None
     if report.step < 2 or not _in_top_layer(report, t):
@@ -563,8 +566,8 @@ def analyze(cx: ExteriorComplex, lam: Optional[GradedElement] = None,
         e2_sum = sum(dim for (p, q), dim in e2.items() if p + q == row.degree)
         if not (row.h_lambda <= e2_sum <= row.hpq_sum):
             raise ConsistencyError(
-                f"degree {row.degree}: E_2 sum {e2_sum} outside "
-                f"[{row.h_lambda}, {row.hpq_sum}]")
+                f"{cx.spec.name}, Lambda = {_render(cx, lam)}: degree {row.degree}: "
+                f"E_2 sum {e2_sum} outside [{row.h_lambda}, {row.hpq_sum}]")
 
     obstruction_kind = None
     obstruction_solution = None
@@ -577,7 +580,8 @@ def analyze(cx: ExteriorComplex, lam: Optional[GradedElement] = None,
                 cx.spec.label(i): v for i, v in zip(result.t_indices, result.solution) if v}
         if check_obstruction_verdict(cx, lam, result.kind, page) and not verdict.hodge:
             raise ConsistencyError(
-                "solvable obstruction without the Hodge-type dimension equality")
+                f"{cx.spec.name}, Lambda = {_render(cx, lam)}: solvable obstruction "
+                "without the Hodge-type dimension equality")
 
     return CohomologyReport(
         algebra_name=cx.spec.name,

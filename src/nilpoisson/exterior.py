@@ -19,13 +19,16 @@ graded operators as exact sparse matrices per bidegree block:
 Both operators are graded derivations, fixed by their values on the 2n
 generators, and one routine, ``_derive``, applies either: a monomial
 g_1 ^ ... ^ g_k maps to the sum over positions of
-(-1)^{pos if odd} g_1..g_{pos-1} ^ D(g_pos) ^ g_{pos+1}..g_k.  The
-generator images of dbar and of every ad_g (the rows of the bracket table
-above) are built once from the structure constants.  dbar is odd.  For E
-of one degree parity, ad_E = [E, -] has odd = (|E|-1) mod 2 and images
-[E, g] = -[g, E], where [g, E] is the even derivation ad_g applied to E;
-the pair (images, odd) is memoized per E, and ``schouten`` splits its
-first argument by degree parity.  Expanding this way is the graded
+(-1)^{pos if odd} g_1..g_{pos-1} ^ D(g_pos) ^ g_{pos+1}..g_k, each term
+wedged on raw monomials (``monomial_wedge``) and added into one term dict.
+The generator images of dbar and of every ad_g (the rows of the bracket
+table above) are built once from the structure constants, as plain term
+dicts {generator: {monomial: coefficient}}; every linear combination here
+is such a dict, summed with :func:`~nilpoisson.rationals.add_into`.  dbar
+is odd.  For E of one degree parity, ad_E = [E, -] has odd = (|E|-1) mod 2
+and images [E, g] = -[g, E], where [g, E] is the even derivation ad_g
+applied to E; the pair (images, odd) is memoized per E, and ``schouten``
+splits its first argument by degree parity.  Expanding this way is the graded
 Leibniz rule [a, b^c] = [a,b]^c + (-1)^{(|a|-1)|b|} b^[a,c] together
 with graded antisymmetry [b,a] = -(-1)^{(|a|-1)(|b|-1)}[a,b].
 
@@ -39,6 +42,11 @@ degree), each coefficient stored beside its negation.  A column is then a
 merge of each D(X_P) term's forms with Q and of P with each D(wbar_Q)
 term's vectors, followed by a row lookup; entries are added only where
 the two parts share a row.
+
+The positional route and the block loop stay separate on purpose:
+``dbar`` and ``schouten`` never call ``_images`` or ``operator_block``, so
+comparing every block with the columnwise images of ``dbar`` and
+``schouten`` checks one route against an independent one.
 
 The conventions above are pinned by golden tests: on every 2-step
 algebra they reproduce [X_j, rho_bar] = -sum_i conj(E_{ji}) wbar^i and, on
@@ -54,7 +62,7 @@ from itertools import combinations
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .algebra import AlgebraSpec, StructureReport, validate
-from .rationals import ZERO, GaussianRational
+from .rationals import GaussianRational, add_into
 from .sparse import SparseMatrix
 
 
@@ -130,6 +138,7 @@ def monomial_wedge(x: Monomial, y: Monomial):
 
 
 Coefficient = Union[GaussianRational, int, Fraction]
+Terms = Dict[Monomial, GaussianRational]   # a linear combination, no zero coefficient
 
 
 class GradedElement:
@@ -137,8 +146,8 @@ class GradedElement:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Optional[Dict[Monomial, GaussianRational]] = None):
-        data: Dict[Monomial, GaussianRational] = {}
+    def __init__(self, terms: Optional[Terms] = None):
+        data: Terms = {}
         if terms:
             for mono, coeff in terms.items():
                 if coeff:
@@ -201,30 +210,20 @@ class GradedElement:
             return NotImplemented
         data = dict(self._terms)
         for mono, coeff in other._terms.items():
-            acc = data.get(mono, ZERO) + coeff
-            if acc:
-                data[mono] = acc
-            elif mono in data:
-                del data[mono]
-        out = GradedElement.__new__(GradedElement)
-        out._terms = data
-        return out
+            add_into(data, mono, coeff)
+        return _element(data)
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
         return self + (-other)
 
     def __neg__(self) -> "GradedElement":
-        out = GradedElement.__new__(GradedElement)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return _element({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, coeff: Coefficient) -> "GradedElement":
         c = _as_scalar(coeff)
         if not c:
             return GradedElement()
-        out = GradedElement.__new__(GradedElement)
-        out._terms = {m: v * c for m, v in self._terms.items()}
-        return out
+        return _element({m: v * c for m, v in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -249,6 +248,13 @@ class GradedElement:
         return "GradedElement(" + " + ".join(parts) + ")"
 
 
+def _element(terms: Terms) -> GradedElement:
+    """Wrap a term dict that holds no zero coefficient, without copying it."""
+    out = GradedElement.__new__(GradedElement)
+    out._terms = terms
+    return out
+
+
 def _as_scalar(coeff: Coefficient) -> GaussianRational:
     if isinstance(coeff, GaussianRational):
         return coeff
@@ -265,21 +271,8 @@ def wedge(a: GradedElement, b: GradedElement) -> GradedElement:
                 continue
             sign, mono = hit
             coeff = ca * cb
-            if sign < 0:
-                coeff = -coeff
-            acc = data.get(mono, ZERO) + coeff
-            if acc:
-                data[mono] = acc
-            elif mono in data:
-                del data[mono]
-    out = GradedElement.__new__(GradedElement)
-    out._terms = data
-    return out
-
-
-def _accumulate(images: Dict[Monomial, GradedElement], generator: Monomial,
-                mono: Monomial, coeff: GaussianRational) -> None:
-    images[generator] = images.get(generator, GradedElement()) + GradedElement.monomial(mono, coeff)
+            add_into(data, mono, coeff if sign > 0 else -coeff)
+    return _element(data)
 
 
 @dataclass(frozen=True)
@@ -320,19 +313,19 @@ class ExteriorComplex:
         self._blocks: Dict[tuple, OperatorMatrix] = {}   # (kind, p, q[, key])
         self._images_memo: dict = {}   # (key, side, degree) -> per-monomial image terms
         self.pivot_counts: dict = {}   # (Lambda key, degree) -> banded pivot counts of T_degree
-        # the generator table, keyed by degree-1 monomials: dbar(X_j), and the
-        # row of nonzero brackets [g, h] of each generator g, read as the
-        # images of ad_g
-        dbar_images: Dict[Monomial, GradedElement] = {}
-        self._bracket_rows: Dict[Monomial, Dict[Monomial, GradedElement]] = {}
+        # the generator tables, keyed by degree-1 monomials, each image a term
+        # dict: dbar(X_j), and the row of nonzero brackets [g, h] of each
+        # generator g, read as the images of ad_g
+        dbar_images: Dict[Monomial, Terms] = {}
+        self._bracket_rows: Dict[Monomial, Dict[Monomial, Terms]] = {}
         for (k, j, m), value in spec.constants.items():
-            x_k, w_m = Monomial((k,), ()), Monomial((), (m,))
+            x_k, w_m, w_j = Monomial((k,), ()), Monomial((), (m,)), Monomial((), (j,))
             # A^m_{kj} wbar^k ^ X_m = -A^m_{kj} X_m ^ wbar^k
-            _accumulate(dbar_images, Monomial((j,), ()), Monomial((m,), (k,)), -value)
+            add_into(dbar_images.setdefault(Monomial((j,), ()), {}), Monomial((m,), (k,)), -value)
             # [X_k, wbar^m] gains -conj(A^m_{kj}) wbar^j, and [wbar^m, X_k] its negation
             bracket = value.conjugate()
-            _accumulate(self._bracket_rows.setdefault(x_k, {}), w_m, Monomial((), (j,)), -bracket)
-            _accumulate(self._bracket_rows.setdefault(w_m, {}), x_k, Monomial((), (j,)), bracket)
+            add_into(self._bracket_rows.setdefault(x_k, {}).setdefault(w_m, {}), w_j, -bracket)
+            add_into(self._bracket_rows.setdefault(w_m, {}).setdefault(x_k, {}), w_j, bracket)
         # element cache_key (None for dbar) -> (generator images, odd)
         self._derivations: dict = {None: (dbar_images, True)}
 
@@ -377,7 +370,7 @@ class ExteriorComplex:
     # -- graded derivations ------------------------------------------------------
 
     def _derivation(self, element: Optional[GradedElement], key
-                    ) -> Tuple[Dict[Monomial, GradedElement], bool]:
+                    ) -> Tuple[Dict[Monomial, Terms], bool]:
         """(generator images, odd) of dbar (element None) or of [element, -].
 
         ``element`` must have one degree parity.  Its images are
@@ -389,54 +382,62 @@ class ExteriorComplex:
         if pair is None:
             images = {}
             for generator, row in self._bracket_rows.items():
-                image = self._derive(row, False, element)
+                image = self._derive(row, False, element, {})
                 if image:
-                    images[generator] = -image
+                    images[generator] = {m: -c for m, c in image.items()}
             odd = any((mono.degree - 1) % 2 for mono, _ in element.terms())
             pair = self._derivations[key] = (images, odd)
         return pair
 
     @staticmethod
-    def _derive(images: Dict[Monomial, GradedElement], odd: bool,
-                element: GradedElement) -> GradedElement:
-        """The graded derivation with the given generator images, applied to element.
+    def _derive(images: Dict[Monomial, Terms], odd: bool, element: GradedElement,
+                terms: Terms) -> Terms:
+        """Add the derivation with these generator images, applied to element, into terms.
 
         Each monomial g_1 ^ ... ^ g_k maps to the sum over positions of
-        (-1)^{pos if odd} g_1..g_{pos-1} ^ image(g_pos) ^ g_{pos+1}..g_k.
+        (-1)^{pos if odd} g_1..g_{pos-1} ^ image(g_pos) ^ g_{pos+1}..g_k,
+        each image term wedged between prefix and suffix as a monomial.
         ``images`` is keyed by degree-1 monomials, which a plain (vec, form)
-        tuple finds.
+        tuple finds.  Returns ``terms``.
         """
-        total = GradedElement()
-        for mono, coeff in element.terms():
-            n_vec = len(mono.vec)
-            for pos in range(mono.degree):
+        for (vec, form), coeff in element.terms():
+            n_vec = len(vec)
+            for pos in range(n_vec + len(form)):
                 if pos < n_vec:
-                    image = images.get(((mono.vec[pos],), ()))
-                    prefix = Monomial(mono.vec[:pos], ())
-                    suffix = Monomial(mono.vec[pos + 1:], mono.form)
+                    image = images.get(((vec[pos],), ()))
+                    prefix = Monomial(vec[:pos], ())
+                    suffix = Monomial(vec[pos + 1:], form)
                 else:
                     r = pos - n_vec
-                    image = images.get(((), (mono.form[r],)))
-                    prefix = Monomial(mono.vec, mono.form[:r])
-                    suffix = Monomial((), mono.form[r + 1:])
+                    image = images.get(((), (form[r],)))
+                    prefix = Monomial(vec, form[:r])
+                    suffix = Monomial((), form[r + 1:])
                 if image is None:
                     continue
-                head = GradedElement.monomial(prefix, -coeff if odd and pos % 2 else coeff)
-                total = total + wedge(wedge(head, image), GradedElement.monomial(suffix))
-        return total
+                head = -coeff if odd and pos % 2 else coeff
+                for mono, value in image.items():
+                    left = monomial_wedge(prefix, mono)
+                    if left is None:
+                        continue
+                    right = monomial_wedge(left[1], suffix)
+                    if right is None:
+                        continue
+                    product = head * value
+                    add_into(terms, right[1], product if left[0] == right[0] else -product)
+        return terms
 
     def dbar(self, element: GradedElement) -> GradedElement:
         """Graded Leibniz extension of the generator images; (p,q) -> (p,q+1)."""
-        return self._derive(*self._derivation(None, None), element)
+        return _element(self._derive(*self._derivation(None, None), element, {}))
 
     def schouten(self, a: GradedElement, b: GradedElement) -> GradedElement:
         """Graded bracket; lowers total degree by 1."""
-        total = GradedElement()
+        terms: Terms = {}
         for parity in (0, 1):
             part = GradedElement({m: c for m, c in a.terms() if m.degree % 2 == parity})
             if part:
-                total = total + self._derive(*self._derivation(part, part.cache_key()), b)
-        return total
+                self._derive(*self._derivation(part, part.cache_key()), b, terms)
+        return _element(terms)
 
     # -- Poisson validation --------------------------------------------------------
 
@@ -470,8 +471,8 @@ class ExteriorComplex:
         table = []
         for indices in combinations(range(1, self.n + 1), degree):
             mono = Monomial(indices, ()) if side == "vec" else Monomial((), indices)
-            image = self._derive(images, odd, GradedElement.monomial(mono))
-            table.append(tuple((m.vec, m.form, c, -c) for m, c in image.terms()))
+            image = self._derive(images, odd, GradedElement.monomial(mono), {})
+            table.append(tuple((m.vec, m.form, c, -c) for m, c in image.items()))
         cached = self._images_memo[memo_key] = tuple(table)
         return cached
 
@@ -527,17 +528,8 @@ class ExteriorComplex:
                         merged = _merge_ascending(vec, v)
                         if merged is None:
                             continue
-                        cell = (target_index[(merged[0], f)], col)
-                        value = c if (merged[1] > 0) != hop else neg
-                        prior = entries.get(cell)
-                        if prior is None:
-                            entries[cell] = value
-                        else:
-                            value = prior + value
-                            if value:
-                                entries[cell] = value
-                            else:
-                                del entries[cell]
+                        add_into(entries, (target_index[(merged[0], f)], col),
+                                 c if (merged[1] > 0) != hop else neg)
                     col += 1
         block = OperatorMatrix(
             source=(p, q), target=target,

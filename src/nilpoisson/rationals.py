@@ -11,7 +11,10 @@ the canonical triples.
 
 Loops that run many operations per matrix (the sparse elimination in
 :mod:`nilpoisson.sparse`) read :attr:`GaussianRational.triple` once per entry,
-work on the raw ints and build the results with :func:`from_triple`.
+work on the raw ints and build the results with :func:`from_triple`.  Every
+other linear combination (elements of the exterior algebra, matrix sums and
+products, brackets of coordinate vectors) is a dict of nonzero scalars built
+with :func:`add_into`, the one place that drops a coefficient summing to zero.
 """
 
 from __future__ import annotations
@@ -237,6 +240,24 @@ def _format_imaginary(im: Fraction) -> str:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
+
+
+def add_into(terms: dict, key, value) -> None:
+    """Add ``value`` at ``key`` of a sparse sum that holds no zero coefficient.
+
+    An absent key stores a nonzero value as it is; a present one is added
+    to, and deleted when the sum is zero.
+    """
+    prior = terms.get(key)
+    if prior is None:
+        if value:
+            terms[key] = value
+        return
+    total = prior + value
+    if total:
+        terms[key] = total
+    else:
+        del terms[key]
 
 
 def gauss(re: Rationalish = 0, im: Rationalish = 0) -> GaussianRational:

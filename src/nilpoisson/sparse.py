@@ -36,7 +36,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .rationals import ONE, ZERO, GaussianRational, from_triple
+from .rationals import ONE, ZERO, GaussianRational, add_into, from_triple
 
 # read by the benchmark tracer only, to split rank spans by shape
 DENSE_CUTOFF = 64
@@ -82,12 +82,7 @@ class SparseMatrix:
         out: Dict[Tuple[int, int], GaussianRational] = {}
         for (r, k), a in self.entries.items():
             for c, b in by_row.get(k, ()):
-                key = (r, c)
-                acc = out.get(key, ZERO) + a * b
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
+                add_into(out, (r, c), a * b)
         return SparseMatrix(self.rows, other.cols, out)
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
@@ -95,11 +90,7 @@ class SparseMatrix:
             raise ValueError("shape mismatch in matrix sum")
         out = dict(self.entries)
         for key, value in other.entries.items():
-            acc = out.get(key, ZERO) + value
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
+            add_into(out, key, value)
         return SparseMatrix(self.rows, self.cols, out)
 
     def is_zero(self) -> bool:

@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from nilpoisson import (AlgebraError, AlgebraSpec, CenterDimensionError, IndexOutOfRange,
-                        JacobiViolation, NotNilpotent, d_rho_matrix, validate)
+from nilpoisson import (AlgebraError, AlgebraSpec, ExteriorComplex, IndexOutOfRange,
+                        JacobiViolation, Monomial, NotNilpotent, validate)
 from nilpoisson.catalog import (double_heisenberg, heisenberg_ext, p_family, torus,
                                 w_family)
 from nilpoisson.rationals import gauss
-from nilpoisson.sparse import rank
 
 HALF = Fraction(1, 2)
 
@@ -177,38 +176,42 @@ def test_derived_coefficients_are_an_involution(w6):
 
 
 # -- the pairing matrix ------------------------------------------------------
+#
+# On a 2-step algebra with one-dimensional center V, dbar(X_j) = -sum_b
+# A^V_{bj} V ^ wbar^b, so the dbar block B^{1,0} -> B^{1,1} holds the pairing
+# d(rho)(X_j, Xbar_b) = A^V_{bj} as the negated (V ^ wbar^b, X_j) entries.
+
+
+def _pairing(spec, v_index):
+    """The dbar block B^{1,0} -> B^{1,1} and the pairing read off it, rows b, columns j."""
+    cx = ExteriorComplex(spec)
+    block = cx.operator_block("dbar", 1, 0)
+    rows, cols = cx.basis_index(1, 1), cx.basis_index(1, 0)
+    t_idx = [i for i in range(1, spec.n + 1) if i != v_index]
+    pairing = [[-block.matrix.entry(rows[Monomial((v_index,), (b,))], cols[Monomial((j,), ())])
+                for j in t_idx] for b in t_idx]
+    return block, pairing
 
 
 def test_d_rho_heisenberg(heis1):
-    matrix = d_rho_matrix(heis1, 2)
-    assert matrix.rows == matrix.cols == 1
-    assert matrix.entry(0, 0) == gauss(0, -HALF)
-    assert rank(matrix) == 1
+    block, pairing = _pairing(heis1, 2)
+    assert pairing == [[gauss(0, -HALF)]]
+    assert block.matrix.nnz() == 1
+    assert block.rank() == 1
 
 
 def test_d_rho_p6_block():
-    matrix = d_rho_matrix(p_family(1), 3)
-    dense = [[matrix.entry(r, c) for c in range(2)] for r in range(2)]
-    assert dense == [[gauss(0, Fraction(1, 4)), gauss(Fraction(-1, 4))],
-                     [gauss(Fraction(-1, 4)), gauss(0)]]
-    assert rank(matrix) == 2
+    block, pairing = _pairing(p_family(1), 3)
+    assert pairing == [[gauss(0, Fraction(1, 4)), gauss(Fraction(-1, 4))],
+                       [gauss(Fraction(-1, 4)), gauss(0)]]
+    assert block.rank() == 2
 
 
 def test_d_rho_w6_degenerate(w6):
-    matrix = d_rho_matrix(w6, 3)
-    assert matrix.entry(0, 1) == gauss(-HALF)
-    assert matrix.nnz() == 1
-    assert rank(matrix) == 1
-
-
-def test_d_rho_requires_one_dimensional_center():
-    with pytest.raises(CenterDimensionError):
-        d_rho_matrix(torus(2), 1)
-
-
-def test_d_rho_rejects_non_central_index(w6):
-    with pytest.raises(CenterDimensionError):
-        d_rho_matrix(w6, 1)
+    block, pairing = _pairing(w6, 3)
+    assert pairing[0][1] == gauss(-HALF)
+    assert block.matrix.nnz() == 1
+    assert block.rank() == 1
 
 
 @pytest.mark.parametrize("spec_builder,v_index", [
@@ -220,10 +223,12 @@ def test_d_rho_rejects_non_central_index(w6):
 def test_d_rho_agrees_with_raw_brackets(spec_builder, v_index):
     """Entry (b, j) must equal -rho([X_j, Xbar_b]) from the raw constants."""
     spec = spec_builder()
-    matrix = d_rho_matrix(spec, v_index)
+    block, pairing = _pairing(spec, v_index)
     t_idx = [i for i in range(1, spec.n + 1) if i != v_index]
     for bi, b in enumerate(t_idx):
         for ji, j in enumerate(t_idx):
             bracket = spec.bracket({j - 1: gauss(1)}, {spec.n + b - 1: gauss(1)})
             rho_value = -bracket.get(v_index - 1, gauss(0))
-            assert matrix.entry(bi, ji) == rho_value
+            assert pairing[bi][ji] == rho_value
+    # the block has no entry outside the V ^ wbar^b rows
+    assert block.matrix.nnz() == sum(1 for row in pairing for value in row if value)

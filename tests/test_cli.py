@@ -194,6 +194,86 @@ def test_banded_dbar_rank_disagreeing_with_its_block_exits_2(capsys, monkeypatch
                    f"{banded + 1} as a block\n")
 
 
+def test_dimension_above_the_injectivity_bound_exits_2(capsys, monkeypatch):
+    """dim H^n_Lambda <= sum of the Dolbeault dimensions is a theorem, checked fatally."""
+    from nilpoisson import cohomology
+
+    real = cohomology.total_cohomology
+
+    def inflated(*args, **kwargs):
+        dims = real(*args, **kwargs)
+        return {**dims, 1: dims[1] + 100}
+
+    monkeypatch.setattr(cohomology, "total_cohomology", inflated)
+    code, out, err = run_cli(capsys, "analyze", "w4n6:0", "--poisson", "V^T1", "--json")
+    assert code == 2
+    assert out == ""
+    assert err == ("internal consistency failure: w4n6:0, Lambda = -T1^V: dim H^1_Lambda = "
+                   "104 exceeds the Dolbeault sum 5; this contradicts the injectivity bound "
+                   "and indicates a bug\n")
+
+
+def test_second_page_outside_the_sandwich_exits_2(capsys, monkeypatch):
+    """Per degree, the E_2 sum lies between dim H^n_Lambda and the E_1 sum."""
+    from nilpoisson import cohomology
+
+    real = cohomology.second_page
+
+    def inflated(page):
+        return {**real(page), (0, 0): 100}
+
+    monkeypatch.setattr(cohomology, "second_page", inflated)
+    code, out, err = run_cli(capsys, "analyze", "w4n6:0", "--poisson", "V^T1", "--json")
+    assert code == 2
+    assert out == ""
+    assert err == ("internal consistency failure: w4n6:0, Lambda = -T1^V: degree 0: "
+                   "E_2 sum 100 outside [1, 1]\n")
+
+
+def test_solvable_obstruction_without_the_hodge_equality_exits_2(capsys, monkeypatch):
+    """A degenerate obstruction verdict forces the Hodge-type dimension equality."""
+    import dataclasses
+
+    from nilpoisson import cohomology
+
+    real = cohomology.hodge_verdict
+
+    def refuted(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), hodge=False)
+
+    monkeypatch.setattr(cohomology, "hodge_verdict", refuted)
+    code, out, err = run_cli(capsys, "analyze", "w4n6:0", "--poisson", "V^T2", "--json")
+    assert code == 2
+    assert out == ""
+    assert err == ("internal consistency failure: w4n6:0, Lambda = -T2^V: solvable "
+                   "obstruction without the Hodge-type dimension equality\n")
+
+
+def test_deformed_differential_squaring_to_nonzero_exits_2(capsys, monkeypatch):
+    """delta^2 = 0 is checked on the assembled matrices before any dimension."""
+    from nilpoisson import cohomology
+    from nilpoisson.rationals import gauss
+    from nilpoisson.sparse import SparseMatrix
+
+    real = cohomology.total_operator
+
+    def skewed(cx, summands, degree):
+        matrix = real(cx, summands, degree)
+        if degree:
+            return matrix
+        # T_0 sends the constant 1 to every basis vector of K^1
+        return SparseMatrix(matrix.rows, matrix.cols,
+                            {(r, 0): gauss(1) for r in range(matrix.rows)})
+
+    monkeypatch.setattr(cohomology, "total_operator", skewed)
+    code, out, err = run_cli(capsys, "deform", "w4n6:0", "--poisson", "V^T2",
+                             "--omega", "rho_bar^w1_bar", "--json")
+    assert code == 2
+    assert out == ""
+    assert err == ("internal consistency failure: w4n6:0, Lambda = -T2^V, Omega_bar = "
+                   "-w1_bar^rho_bar: delta^2 != 0 between K^0 and K^2\n")
+
+
 @pytest.mark.parametrize("argv, degrees_key", [
     (("analyze", "w4n6:0", "--poisson", "V^T1", "--json"), "hn_lambda"),
     (("deform", "w4n6:0", "--poisson", "V^T2", "--omega", "rho_bar^w1_bar", "--json"), "dims"),

@@ -342,6 +342,36 @@ def test_derivation_identities_on_random_pairs(cx):
 
 
 @pytest.mark.parametrize("cx", _complexes(), ids=lambda c: c.spec.name)
+def test_results_hold_no_zero_coefficient(cx):
+    """+, wedge, dbar and schouten drop every coefficient that sums to zero.
+
+    The inputs are built to cancel: (b - a) + a, a ^ a and [a, a] for a of
+    odd degree, and dbar(dbar(a)) meet equal terms with opposite signs
+    inside one operation, so each must come out without a zero entry.
+    """
+    rng = random.Random(61)
+    cancelled = {"+": 0, "wedge": 0, "dbar": 0, "schouten": 0}
+    for _ in range(60):
+        p, q = rng.randint(0, 2), rng.randint(0, 2)
+        a = _random_homogeneous(rng, cx, p, q, terms=3)
+        b = _random_homogeneous(rng, cx, rng.randint(0, 2), rng.randint(0, 1), terms=3)
+        results = {"+": (b - a) + a, "wedge": wedge(a, a), "dbar": cx.dbar(cx.dbar(a)),
+                   "schouten": cx.schouten(a, a)}
+        for element in (*results.values(), wedge(a, b), cx.dbar(a + b), cx.schouten(a, b)):
+            assert all(element._terms.values()), element
+        assert results["+"]._terms == b._terms
+        assert not results["dbar"]._terms
+        cancelled["+"] += bool(a)
+        cancelled["dbar"] += bool(cx.dbar(a))
+        if (p + q) % 2:
+            assert not results["wedge"]._terms and not results["schouten"]._terms
+            cancelled["wedge"] += len(a) > 1
+            cancelled["schouten"] += any(cx.schouten(GradedElement.monomial(m), a)
+                                         for m in a._terms)
+    assert all(cancelled.values()), cancelled
+
+
+@pytest.mark.parametrize("cx", _complexes(), ids=lambda c: c.spec.name)
 def test_graded_antisymmetry(cx):
     rng = random.Random(29)
     for _ in range(30):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nilpoisson.rationals import (GaussianRational, MalformedRational, format_rational,
-                                  from_triple, gauss, parse_rational)
+from nilpoisson.rationals import (GaussianRational, MalformedRational, add_into,
+                                  format_rational, from_triple, gauss, parse_rational)
 
 
 def test_multiplication_by_i():
@@ -165,3 +165,15 @@ def test_parse_rational_rejects(bad):
 @given(rationals)
 def test_format_parse_roundtrip(q):
     assert parse_rational(format_rational(q)) == q
+
+
+def test_add_into_keeps_no_zero_coefficient():
+    terms = {}
+    add_into(terms, "x", gauss(1, 2))           # absent key, nonzero value: stored as is
+    assert terms == {"x": gauss(1, 2)}
+    add_into(terms, "y", gauss(0))              # absent key, zero value: nothing stored
+    assert terms == {"x": gauss(1, 2)}
+    add_into(terms, "x", gauss(Fraction(1, 2)))  # present key: added
+    assert terms == {"x": gauss(Fraction(3, 2), 2)}
+    add_into(terms, "x", gauss(Fraction(-3, 2), -2))  # cancellation: the key is deleted
+    assert terms == {}
