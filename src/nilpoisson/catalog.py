@@ -158,8 +158,11 @@ def parse_spec(text: str) -> AlgebraSpec:
     if not isinstance(raw["labels"], list) or not all(isinstance(s, str) for s in raw["labels"]):
         raise SpecFormatError("'labels' must be a list of strings")
 
+    items = raw.get("constants", [])
+    if not isinstance(items, list):
+        raise SpecFormatError("'constants' must be a list of objects")
     constants: Dict[Tuple[int, int, int], GaussianRational] = {}
-    for position, item in enumerate(raw.get("constants", [])):
+    for position, item in enumerate(items):
         if not isinstance(item, dict):
             raise SpecFormatError(f"constants[{position}] must be an object")
         unknown = set(item) - _CONSTANT_FIELDS

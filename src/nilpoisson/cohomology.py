@@ -364,22 +364,17 @@ class HodgeVerdict:
     per_degree: Tuple[DegreeComparison, ...]
 
 
-def hodge_verdict(cx: ExteriorComplex, lam: GradedElement,
-                  max_degree: Optional[int] = None,
-                  hn: Optional[Dict[int, int]] = None,
-                  hpq: Optional[Dict[Tuple[int, int], int]] = None) -> HodgeVerdict:
-    """Compare dim H^n_Lambda with sum_{p+q=n} dim H^{p,q} per degree.
+def hodge_verdict(cx: ExteriorComplex, lam: GradedElement, hn: Dict[int, int],
+                  hpq: Dict[Tuple[int, int], int]) -> HodgeVerdict:
+    """Compare dim H^n_Lambda with sum_{p+q=n} dim H^{p,q} per degree of ``hn``.
 
-    The <= direction is a theorem for every invariant holomorphic Poisson
-    structure; a violation is a fatal internal error, never a result.
+    ``hn`` and ``hpq`` are the tables of :func:`total_cohomology` and
+    :func:`dolbeault_dims` at one degree cap.  The <= direction is a theorem
+    for every invariant holomorphic Poisson structure; a violation is a
+    fatal internal error, never a result.
     """
-    cap = degree_cap(cx, max_degree)
-    if hn is None:
-        hn = total_cohomology(cx, lam, cap)
-    if hpq is None:
-        hpq = dolbeault_dims(cx, cap)
     rows = []
-    for n in range(cap + 1):
+    for n in sorted(hn):
         total = sum(dim for (p, q), dim in hpq.items() if p + q == n)
         row = DegreeComparison(degree=n, h_lambda=hn[n], hpq_sum=total)
         if row.h_lambda > row.hpq_sum:
@@ -559,7 +554,7 @@ def analyze(cx: ExteriorComplex, lam: Optional[GradedElement] = None,
     hn = total_cohomology(cx, lam, cap)
     page = first_page(cx, lam, cap)
     e2 = second_page(page)
-    verdict = hodge_verdict(cx, lam, cap, hn=hn, hpq=hpq)
+    verdict = hodge_verdict(cx, lam, hn, hpq)
 
     # E_2 sandwich: sum E_2 per degree sits between dim H^n and sum E_1.
     for row in verdict.per_degree:

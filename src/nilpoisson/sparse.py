@@ -11,7 +11,9 @@ package produces (a handful of entries per column); back substitution walks
 a column-to-rows index of the pivot rows instead of every pivot.  Every
 kernel and solution is read from this reduced row echelon form, which is
 unique, so neither depends on the pivot rule.  :func:`rank` is the pivot
-count of one forward sweep, at every size.
+count of one forward sweep, at every size.  The elimination has one mode
+and carries no right-hand side: :func:`solve` reduces the augmented matrix
+[M | b], with b as its last column.
 
 :func:`band_pivot_counts` runs the same forward sweep with a banded pivot
 rule: each pivot comes from the holder in the lowest row band (ties: the
@@ -116,12 +118,12 @@ class SparseMatrix:
 # a nonzero in the current column, pick the shortest row (ties: the lower
 # row index) and eliminate the column from the other unpivoted rows.
 # Unpivoted rows then never regain entries in processed columns, so after
-# the sweep every unpivoted row is empty (its right-hand side decides
-# consistency).  Backward phase (RREF only): normalize pivots to 1 and, in
-# reverse pivot order, clear each pivot column from the pivot rows that hold
-# it.  A pivot row then only has entries in its own and in free columns, so
-# clearing never touches a pivot column still to come, and the pivot rows
-# holding each pivot column can be listed once before the phase starts.
+# the sweep every unpivoted row is empty.  Backward phase (RREF only):
+# normalize pivots to 1 and, in reverse pivot order, clear each pivot column
+# from the pivot rows that hold it.  A pivot row then only has entries in its
+# own and in free columns, so clearing never touches a pivot column still to
+# come, and the pivot rows holding each pivot column can be listed once
+# before the phase starts.
 
 Triple = Tuple[int, int, int]
 
@@ -135,29 +137,13 @@ def _triple_ratio(x: Triple, y: Triple) -> Triple:
     return (a // g, b // g, d // g) if g != 1 else (a, b, d)
 
 
-def _triple_sub_mul(x: Triple, f: Triple, y: Triple) -> Triple:
-    """x - f*y, canonical."""
-    fa, fb, fd = f
-    va, vb, vd = y
-    ma, mb, md = fa * va - fb * vb, fa * vb + fb * va, fd * vd
-    a, b, d = x
-    if d == md:
-        a, b = a - ma, b - mb
-    else:
-        a, b, d = a * md - ma * d, b * md - mb * d, d * md
-    g = gcd(a, b, d)
-    return (a // g, b // g, d // g) if g != 1 else (a, b, d)
-
-
-_ZERO_TRIPLE = (0, 0, 1)
 _ONE_TRIPLE = (1, 0, 1)
 
 
 class _Echelon:
-    __slots__ = ("rows", "cols", "row_data", "pivots", "pivot_rows", "rhs")
+    __slots__ = ("cols", "row_data", "pivots")
 
-    def __init__(self, matrix: SparseMatrix, rhs: Optional[List[GaussianRational]] = None):
-        self.rows = matrix.rows
+    def __init__(self, matrix: SparseMatrix):
         self.cols = matrix.cols
         # only rows holding entries get a dict: most rows of a total operator are empty
         row_data: Dict[int, Dict[int, Triple]] = {}
@@ -168,8 +154,6 @@ class _Echelon:
             row[c] = value.triple
         self.row_data = row_data
         self.pivots: List[Tuple[int, int]] = []
-        self.pivot_rows: set = set()
-        self.rhs = [value.triple for value in rhs] if rhs is not None else None
 
     def forward(self, row_band: Optional[Sequence[int]] = None) -> None:
         """Forward sweep; with ``row_band``, pivots come from the lowest band first."""
@@ -194,7 +178,6 @@ class _Echelon:
             else:
                 continue
             self.pivots.append((pivot, c))
-            self.pivot_rows.add(pivot)
             for k in row_data[pivot]:
                 if k != c:
                     col_to_rows[k].discard(pivot)
@@ -204,14 +187,12 @@ class _Echelon:
 
     def reduce(self) -> None:
         """Normalize pivots and clear pivot columns upward (full RREF)."""
-        row_data, rhs = self.row_data, self.rhs
+        row_data = self.row_data
         holding: Dict[int, List[int]] = {c: [] for _, c in self.pivots}
         for pivot, c in self.pivots:
             value = row_data[pivot][c]
             if value != _ONE_TRIPLE:
                 row_data[pivot] = {k: _triple_ratio(v, value) for k, v in row_data[pivot].items()}
-                if rhs is not None:
-                    rhs[pivot] = _triple_ratio(rhs[pivot], value)
             for k in row_data[pivot]:
                 if k != c and k in holding:
                     holding[k].append(pivot)
@@ -223,7 +204,7 @@ class _Echelon:
                   col_to_rows: Optional[Dict[int, set]]) -> None:
         """Clear column ``col`` of row ``target`` with a multiple of row ``source``."""
         trow, srow = self.row_data[target], self.row_data[source]
-        fa, fb, fd = f = _triple_ratio(trow.pop(col), srow[col])
+        fa, fb, fd = _triple_ratio(trow.pop(col), srow[col])
         for k, (va, vb, vd) in srow.items():
             if k == col:
                 continue
@@ -246,13 +227,8 @@ class _Echelon:
             trow[k] = (a // g, b // g, d // g) if g != 1 else (a, b, d)
             if old is None and col_to_rows is not None:
                 col_to_rows[k].add(target)
-        if self.rhs is not None:
-            self.rhs[target] = _triple_sub_mul(self.rhs[target], f, self.rhs[source])
 
     # -- results ---------------------------------------------------------
-
-    def rank(self) -> int:
-        return len(self.pivots)
 
     def kernel_columns(self) -> List[Dict[int, GaussianRational]]:
         """One kernel vector per free column; call after :meth:`reduce`."""
@@ -264,24 +240,12 @@ class _Echelon:
                     vectors[k][c] = from_triple(-a, -b, d)
         return list(vectors.values())
 
-    def consistent(self) -> bool:
-        """True iff every unpivoted row has a zero right-hand side."""
-        assert self.rhs is not None
-        return all(self.rhs[r] == _ZERO_TRIPLE
-                   for r in range(self.rows) if r not in self.pivot_rows)
-
-    def particular_solution(self) -> Dict[int, GaussianRational]:
-        """Pivot values with free variables zero; call after :meth:`reduce`."""
-        assert self.rhs is not None
-        return {c: from_triple(*self.rhs[pivot])
-                for pivot, c in self.pivots if self.rhs[pivot] != _ZERO_TRIPLE}
-
 
 def rank(matrix: SparseMatrix) -> int:
     """Exact rank over Q(i)."""
     ech = _Echelon(matrix)
     ech.forward()
-    return ech.rank()
+    return len(ech.pivots)
 
 
 def band_pivot_counts(matrix: SparseMatrix, row_band: Sequence[int],
@@ -311,20 +275,31 @@ def kernel_vectors(matrix: SparseMatrix) -> List[Dict[int, GaussianRational]]:
 def solve(matrix: SparseMatrix, b: Sequence[GaussianRational]) -> Optional[List[GaussianRational]]:
     """Some x with Mx = b, or None when the system is inconsistent.
 
-    Free variables are set to zero, so when rank == cols the returned
-    solution is the unique one.  Raises ValueError on a length mismatch.
+    Reduces the augmented matrix [M | b], with b as column ``cols``: the
+    system is inconsistent iff that column gets a pivot, and otherwise x_c
+    is the ``cols`` entry of the pivot row of column c, every free variable
+    zero.  When rank == cols that is the unique solution.  Entries of b may
+    be ints or Fractions.  Raises ValueError on a length mismatch.
     """
     if len(b) != matrix.rows:
         raise ValueError(f"rhs length {len(b)} != rows {matrix.rows}")
-    rhs = [v if isinstance(v, GaussianRational) else GaussianRational(v) for v in b]
-    ech = _Echelon(matrix, rhs)
+    cols = matrix.cols
+    augmented = dict(matrix.entries)
+    for r, v in enumerate(b):
+        value = v if isinstance(v, GaussianRational) else GaussianRational(v)
+        if value:
+            augmented[(r, cols)] = value
+    ech = _Echelon(SparseMatrix(matrix.rows, cols + 1, augmented))
     ech.forward()
-    if not ech.consistent():
+    # pivots come in column order, so a pivot in column cols is the last one
+    if ech.pivots and ech.pivots[-1][1] == cols:
         return None
     ech.reduce()
-    solution = [ZERO] * matrix.cols
-    for c, value in ech.particular_solution().items():
-        solution[c] = value
+    solution = [ZERO] * cols
+    for pivot, c in ech.pivots:
+        value = ech.row_data[pivot].get(cols)
+        if value is not None:
+            solution[c] = from_triple(*value)
     return solution
 
 

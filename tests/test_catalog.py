@@ -169,6 +169,13 @@ def test_parse_rejects_a_non_integer_constant_index(key, value):
         parse_spec(text)
 
 
+@pytest.mark.parametrize("value", [5, None, "ab", {"k": 1}], ids=repr)
+def test_parse_rejects_constants_that_are_not_a_list(value):
+    text = json.dumps({"name": "x", "n": 2, "labels": ["A", "B"], "constants": value})
+    with pytest.raises(SpecFormatError, match=r"^'constants' must be a list of objects$"):
+        parse_spec(text)
+
+
 def test_roundtrip_preserves_rationals_exactly():
     spec = parse_spec("""{"name": "exact", "n": 2, "labels": ["A", "B"],
         "constants": [{"k": 1, "j": 1, "m": 2,

@@ -368,6 +368,15 @@ def test_non_integer_constant_index_exits_1(capsys, tmp_path):
     assert "k, j, m must be integers" in err
 
 
+def test_constants_that_are_not_a_list_exit_1(capsys, tmp_path):
+    bad = tmp_path / "scalar-constants.json"
+    bad.write_text(json.dumps({"name": "x", "n": 2, "labels": ["A", "B"], "constants": 5}))
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {bad}: 'constants' must be a list of objects\n"
+
+
 def test_non_poisson_input_is_rejected(capsys):
     code, _, err = run_cli(capsys, "analyze", "three-step:1")
     assert code == 1

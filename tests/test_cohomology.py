@@ -370,15 +370,19 @@ def test_obstruction_needs_a_coordinate_center():
 # -- Hodge verdicts -------------------------------------------------------------------
 
 
+def _verdict(cx, lam, cap=6):
+    return hodge_verdict(cx, lam, total_cohomology(cx, lam, cap), dolbeault_dims(cx, cap))
+
+
 def test_w6_hodge_equality(w6_complex):
-    verdict = hodge_verdict(w6_complex, wedge(V(3), V(2)), max_degree=6)
+    verdict = _verdict(w6_complex, wedge(V(3), V(2)))
     assert verdict.hodge
     degree_one = verdict.per_degree[1]
     assert (degree_one.h_lambda, degree_one.hpq_sum) == (5, 5)
 
 
 def test_w6_hodge_failure_at_degree_one(w6_complex):
-    verdict = hodge_verdict(w6_complex, wedge(V(3), V(1)), max_degree=6)
+    verdict = _verdict(w6_complex, wedge(V(3), V(1)))
     assert not verdict.hodge
     assert not verdict.per_degree[1].equal
 
@@ -386,7 +390,7 @@ def test_w6_hodge_failure_at_degree_one(w6_complex):
 def test_double_heisenberg_hodge():
     cx = ExteriorComplex(double_heisenberg(1, 1))
     lam = wedge(V(3), V(1))          # V ^ S1
-    verdict = hodge_verdict(cx, lam, max_degree=6)
+    verdict = _verdict(cx, lam)
     assert verdict.hodge
 
 

@@ -1,8 +1,8 @@
 """Exact elimination: rank, kernel, solve, and the rank-nullity invariant.
 
-Random-matrix cases check the triple elimination behind ``rank`` and
-``kernel_vectors`` against a dense reference RREF on scalars kept in this
-file, which shares no code with it.
+Random-matrix cases check the triple elimination behind ``rank``,
+``kernel_vectors`` and ``solve`` against a dense reference RREF on scalars
+kept in this file, which shares no code with it.
 """
 
 import random
@@ -58,18 +58,29 @@ def test_kernel_single_column_differential():
 def test_solve_identity():
     b = [gauss(3), gauss(0, 1), gauss(Fraction(2, 7))]
     assert solve(SparseMatrix.identity(3), b) == b
+    # int and Fraction entries of b read as real Gaussian rationals
+    assert solve(SparseMatrix.identity(3), [3, HALF, 0]) == [gauss(3), gauss(HALF), gauss(0)]
 
 
 def test_solve_inconsistent_degenerate_pairing():
-    # D x = r with D the rank-1 pairing block and r outside its column space
+    # D x = r with D the rank-1 pairing block and r outside its column space;
+    # D leaves row 1 empty, so r is consistent iff r_1 = 0
     m = SparseMatrix(2, 2, {(0, 1): gauss(-HALF)})
     assert solve(m, [gauss(0), gauss(-HALF)]) is None
+    assert solve(m, [gauss(HALF), gauss(1)]) is None
+    assert solve(m, [gauss(HALF), gauss(0)]) == [gauss(0), gauss(-1)]
 
 
 def test_solve_unique_nondegenerate_pairing():
     # 1x1 system [-i/2] x = i/2 has the unique solution x = -1
     m = SparseMatrix(1, 1, {(0, 0): gauss(0, -HALF)})
     assert solve(m, [gauss(0, HALF)]) == [gauss(-1)]
+
+
+def test_solve_without_columns():
+    # only b = 0 lies in the image of a map from the zero space
+    assert solve(SparseMatrix(2, 0), [gauss(0), gauss(1)]) is None
+    assert solve(SparseMatrix(2, 0), [gauss(0), gauss(0)]) == []
 
 
 def test_dimension_mismatch():
@@ -150,10 +161,25 @@ def _dense_rref(m):
     return data[:len(pivots)], pivots
 
 
+def _dense_solution(m, b):
+    """Solve from the dense reference RREF of [m | b]: None when column
+    ``m.cols`` is a pivot column, else the pivot entries of that column."""
+    augmented = SparseMatrix(m.rows, m.cols + 1,
+                             {**m.entries, **{(r, m.cols): v for r, v in enumerate(b)}})
+    rows, pivots = _dense_rref(augmented)
+    if m.cols in pivots:
+        return None
+    x = [gauss(0)] * m.cols
+    for row, c in zip(rows, pivots):
+        x[c] = row[m.cols]
+    return x
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_sparse_path_matches_dense_path(seed):
-    """Compare ``rank`` and ``kernel_vectors`` with the dense reference RREF,
-    whose kernel basis (one vector per free column) is unique."""
+    """Compare ``rank``, ``kernel_vectors`` and ``solve`` with the dense
+    reference RREF, whose kernel basis (one vector per free column) and
+    free-variables-zero solution are unique."""
     rng = random.Random(300 + seed)
     m = _random_matrix(rng, rng.randint(2, 12), rng.randint(2, 12))
     rows, pivots = _dense_rref(m)
@@ -166,6 +192,14 @@ def test_sparse_path_matches_dense_path(seed):
                 vec[c] = -row[free]
         expected.append(vec)
     assert kernel_vectors(m) == expected
+
+    x = {c: gauss(rng.randint(-3, 3), rng.randint(-2, 2)) for c in range(m.cols)}
+    image = m @ _column(m, x)
+    consistent = [image.entry(r, 0) for r in range(m.rows)]
+    arbitrary = [gauss(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(m.rows)]
+    for b in (consistent, arbitrary):
+        assert solve(m, b) == _dense_solution(m, b)
+    assert solve(m, consistent) is not None
 
 
 def test_matmul():
