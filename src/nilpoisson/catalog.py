@@ -153,6 +153,8 @@ def parse_spec(text: str) -> AlgebraSpec:
     for required in ("name", "n", "labels"):
         if required not in raw:
             raise SpecFormatError(f"missing field {required!r}")
+    if not isinstance(raw["name"], str):
+        raise SpecFormatError(f"'name' must be a string, got {json.dumps(raw['name'])}")
     if type(raw["n"]) is not int:  # JSON integers only: no bool, float or string
         raise SpecFormatError("'n' must be an integer")
     if not isinstance(raw["labels"], list) or not all(isinstance(s, str) for s in raw["labels"]):
@@ -174,15 +176,21 @@ def parse_spec(text: str) -> AlgebraSpec:
             raise SpecFormatError(f"constants[{position}]: k, j, m must be integers")
         if (k, j, m) in constants:
             raise SpecFormatError(f"constants[{position}]: duplicate triple (k,j,m) = ({k},{j},{m})")
-        try:
-            value = GaussianRational(parse_rational(str(item.get("re", "0"))),
-                                     parse_rational(str(item.get("im", "0"))))
-        except MalformedRational as exc:
-            raise SpecFormatError(f"constants[{position}]: {exc}") from None
+        parts = []
+        for part in ("re", "im"):
+            text = item.get(part, "0")
+            if not isinstance(text, str):   # "p/q" strings only: no number, bool or null
+                raise SpecFormatError(f"constants[{position}]: {part!r} must be a 'p' or "
+                                      f"'p/q' string, got {json.dumps(text)}")
+            try:
+                parts.append(parse_rational(text))
+            except MalformedRational as exc:
+                raise SpecFormatError(f"constants[{position}]: {exc}") from None
+        value = GaussianRational(*parts)
         constants[(k, j, m)] = value
     from .algebra import AlgebraError
     try:
-        return AlgebraSpec(str(raw["name"]), raw["n"], tuple(raw["labels"]), constants)
+        return AlgebraSpec(raw["name"], raw["n"], tuple(raw["labels"]), constants)
     except AlgebraError as exc:
         raise SpecFormatError(str(exc)) from None
 

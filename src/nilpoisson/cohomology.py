@@ -153,7 +153,9 @@ def total_operator(cx: ExteriorComplex, summands: Sequence[GradedElement],
             for (r, c), value in piece.matrix.entries.items():
                 entries[(row_base + r, col_base + c)] = value
         col_base += cx.block_dim(p, q)
-    return SparseMatrix(n_rows, col_base, entries)
+    # block entries are nonzero and inside their blocks, so every placed entry
+    # is nonzero and in range
+    return SparseMatrix._trusted(n_rows, col_base, entries)
 
 
 def _pivot_counts(cx: ExteriorComplex, lam: GradedElement,
@@ -304,7 +306,7 @@ def obstruction(cx: ExteriorComplex, t: GradedElement) -> ObstructionResult:
         return ObstructionResult(kind="trivial_action", t_indices=t_indices)
 
     block = cx.operator_block("dbar", 1, 0)
-    v_column = cx.basis_index(1, 0)[((v_index,), ())]
+    v_column = cx.basis_index(((v_index,), ()))
     if any(c == v_column for _, c in block.matrix.entries):
         raise ConsistencyError(
             f"{cx.spec.name}: dbar of the central vector {cx.spec.label(v_index)} is nonzero")

@@ -16,6 +16,18 @@ graded operators as exact sparse matrices per bidegree block:
   bidegree block in the canonical monomial bases, memoized per
   (kind, block, multivector).
 
+Positions are arithmetic; no basis is materialised to find one.  The
+canonical basis of B^{p,q} runs over P in ``combinations(range(1, n+1), p)``
+outer and Q in ``combinations(range(1, n+1), q)`` inner, so X_P ^ wbar_Q
+sits at rank_p[P] * C(n, q) + rank_q[Q], where rank_k is the position of
+an ascending k-tuple in ``combinations`` order (its index in the
+combinatorial number system; Knuth, TAOCP Vol. 4A, 7.2.1.3).  Each rank_k
+is a dict of C(n, k) entries, built on first use of degree k and kept;
+block dimensions are the binomial products C(n,p) C(n,q), so sizing a
+degree never builds a table.  :meth:`ExteriorComplex.basis` still lists the
+monomials of a block, lazily, for callers that need them as objects;
+assembly never calls it.
+
 Both operators are graded derivations, fixed by their values on the 2n
 generators, and one routine, ``_derive``, applies either: a monomial
 g_1 ^ ... ^ g_k maps to the sum over positions of
@@ -40,8 +52,9 @@ so a block needs only the C(n,p) images D(X_P) and the C(n,q) images
 D(wbar_Q) (all zero for dbar).  These are memoized per (operator, side,
 degree), each coefficient stored beside its negation.  A column is then a
 merge of each D(X_P) term's forms with Q and of P with each D(wbar_Q)
-term's vectors, followed by a row lookup; entries are added only where
-the two parts share a row.
+term's vectors, and the row is the position rule above; entries are added
+only where the two parts share a row.  Every entry is nonzero and in
+range by construction, so blocks wrap their entry dict without a check.
 
 The positional route and the block loop stay separate on purpose:
 ``dbar`` and ``schouten`` never call ``_images`` or ``operator_block``, so
@@ -59,6 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .algebra import AlgebraSpec, StructureReport, validate
@@ -309,7 +323,7 @@ class ExteriorComplex:
         self.n = spec.n
         self.dim_l = 2 * spec.n
         self._bases: Dict[Tuple[int, int], Tuple[Monomial, ...]] = {}
-        self._basis_index: Dict[Tuple[int, int], Dict[Monomial, int]] = {}
+        self._ranks: Dict[int, Dict[Tuple[int, ...], int]] = {}   # degree -> rank table
         self._blocks: Dict[tuple, OperatorMatrix] = {}   # (kind, p, q[, key])
         self._images_memo: dict = {}   # (key, side, degree) -> per-monomial image terms
         self.pivot_counts: dict = {}   # (Lambda key, degree) -> banded pivot counts of T_degree
@@ -331,40 +345,45 @@ class ExteriorComplex:
 
     # -- canonical bases ---------------------------------------------------
 
+    def _rank_table(self, degree: int) -> Dict[Tuple[int, ...], int]:
+        """{ascending index tuple: its position in ``combinations`` order}.
+
+        Built on the first use of ``degree`` and kept; empty outside 0..n.
+        Its keys, in order, are the ``combinations`` of that degree.
+        """
+        table = self._ranks.get(degree)
+        if table is None:
+            tuples = combinations(range(1, self.n + 1), degree) if degree >= 0 else ()
+            table = self._ranks[degree] = {indices: i for i, indices in enumerate(tuples)}
+        return table
+
     def basis(self, p: int, q: int) -> Tuple[Monomial, ...]:
-        """Canonical monomial basis of B^{p,q} (empty outside 0..n)."""
+        """Canonical monomial basis of B^{p,q} (empty outside 0..n), built on first use."""
         key = (p, q)
         if key not in self._bases:
-            if 0 <= p <= self.n and 0 <= q <= self.n:
-                indices = range(1, self.n + 1)
-                monos = tuple(
-                    Monomial(vec, form)
-                    for vec in combinations(indices, p)
-                    for form in combinations(indices, q)
-                )
-            else:
-                monos = ()
-            self._bases[key] = monos
-            self._basis_index[key] = {m: i for i, m in enumerate(monos)}
+            forms = self._rank_table(q)
+            self._bases[key] = tuple(Monomial(vec, form)
+                                     for vec in self._rank_table(p) for form in forms)
         return self._bases[key]
 
-    def basis_index(self, p: int, q: int) -> Dict[Monomial, int]:
-        self.basis(p, q)
-        return self._basis_index[(p, q)]
+    def basis_index(self, mono: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> int:
+        """Position of X_P ^ wbar_Q in ``basis(|P|, |Q|)``: rank_p[P] * C(n,q) + rank_q[Q]."""
+        vec, form = mono
+        forms = self._rank_table(len(form))
+        return self._rank_table(len(vec))[vec] * len(forms) + forms[form]
 
     def block_dim(self, p: int, q: int) -> int:
-        return len(self.basis(p, q))
+        return comb(self.n, p) * comb(self.n, q) if p >= 0 and q >= 0 else 0
 
     def k_dim(self, degree: int) -> int:
         return sum(self.block_dim(p, degree - p) for p in range(degree + 1))
 
     def coordinates(self, element: GradedElement, p: int, q: int) -> Dict[int, GaussianRational]:
-        index = self.basis_index(p, q)
         out = {}
         for mono, coeff in element.terms():
             if mono.bidegree != (p, q):
                 raise ValueError(f"term {mono} is not of bidegree {(p, q)}")
-            out[index[mono]] = coeff
+            out[self.basis_index(mono)] = coeff
         return out
 
     # -- graded derivations ------------------------------------------------------
@@ -460,19 +479,25 @@ class ExteriorComplex:
 
         D is dbar for element None and [element, -] otherwise.  One entry
         per index tuple, in ``combinations`` order; each entry lists the
-        image's terms as (vec, form, coeff, -coeff).  Memoized per
-        (key, side, degree), ``key`` as in :meth:`_derivation`.
+        image's terms as (part, rank, coeff, -coeff): ``part`` is the side a
+        column merges with its own indices (the forms of D(X_P), the vectors
+        of D(wbar_Q)) and ``rank`` the rank-table position of the other side.
+        Memoized per (key, side, degree), ``key`` as in :meth:`_derivation`.
         """
         memo_key = (key, side, degree)
         cached = self._images_memo.get(memo_key)
         if cached is not None:
             return cached
         images, odd = self._derivation(element, key)
+        ranks = self._rank_table
         table = []
-        for indices in combinations(range(1, self.n + 1), degree):
+        for indices in ranks(degree):
             mono = Monomial(indices, ()) if side == "vec" else Monomial((), indices)
-            image = self._derive(images, odd, GradedElement.monomial(mono), {})
-            table.append(tuple((m.vec, m.form, c, -c) for m, c in image.items()))
+            terms = self._derive(images, odd, GradedElement.monomial(mono), {}).items()
+            if side == "vec":
+                table.append(tuple((f, ranks(len(v))[v], c, -c) for (v, f), c in terms))
+            else:
+                table.append(tuple((v, ranks(len(f))[f], c, -c) for (v, f), c in terms))
         cached = self._images_memo[memo_key] = tuple(table)
         return cached
 
@@ -504,35 +529,37 @@ class ExteriorComplex:
             return self._blocks[key]
 
         n_cols = self.block_dim(p, q)
-        target_index = self.basis_index(*target)
         entries: Dict[Tuple[int, int], GaussianRational] = {}
         if n_cols:
-            forms = tuple(combinations(range(1, self.n + 1), q))
+            vec_rank, form_rank = self._rank_table(target[0]), self._rank_table(target[1])
+            stride = len(form_rank)
+            forms = self._rank_table(q)
             vec_images = self._images(element, element_key, "vec", p)
             form_images = self._images(element, element_key, "form", q)
             hop = bool(self._derivation(element, element_key)[1] and p % 2)
-            # columns run in basis(p, q) order: P outer, Q inner.  target_index
-            # is keyed by Monomial, a tuple subclass, so a plain (vec, form)
-            # tuple finds the same row
+            # columns run in basis(p, q) order: P outer, Q inner; the row of
+            # X_P' ^ wbar_Q' is vec_rank[P'] * stride + form_rank[Q']
             col = 0
-            for vec, vec_terms in zip(combinations(range(1, self.n + 1), p), vec_images):
+            for vec, vec_terms in zip(self._rank_table(p), vec_images):
+                heads = [(rank * stride, f, c, neg) for f, rank, c, neg in vec_terms]
                 for form, form_terms in zip(forms, form_images):
                     # D(X_P) ^ wbar_Q
-                    for v, f, c, neg in vec_terms:
+                    for base, f, c, neg in heads:
                         merged = _merge_ascending(f, form)
                         if merged is not None:
-                            entries[(target_index[(v, merged[0])], col)] = (
+                            entries[(base + form_rank[merged[0]], col)] = (
                                 c if merged[1] > 0 else neg)
                     # (-1)^{|P|} X_P ^ D(wbar_Q) when D is odd
-                    for v, f, c, neg in form_terms:
+                    for v, rank, c, neg in form_terms:
                         merged = _merge_ascending(vec, v)
                         if merged is None:
                             continue
-                        add_into(entries, (target_index[(merged[0], f)], col),
+                        add_into(entries, (vec_rank[merged[0]] * stride + rank, col),
                                  c if (merged[1] > 0) != hop else neg)
                     col += 1
+        # entries are nonzero (set once per row, or through add_into) and in range
         block = OperatorMatrix(
             source=(p, q), target=target,
-            matrix=SparseMatrix(len(target_index), n_cols, entries))
+            matrix=SparseMatrix._trusted(self.block_dim(*target), n_cols, entries))
         self._blocks[key] = block
         return block

@@ -67,6 +67,19 @@ class SparseMatrix:
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def _trusted(cls, rows: int, cols: int,
+                 entries: Dict[Tuple[int, int], GaussianRational]) -> "SparseMatrix":
+        """Take ownership of ``entries`` without copying or checking them.
+
+        Only for matrices this package builds itself, whose entries are in
+        range and nonzero by construction: summed with ``add_into``, which
+        drops zeros, or copied from such a matrix to computed offsets.
+        """
+        matrix = cls.__new__(cls)
+        matrix.rows, matrix.cols, matrix.entries = rows, cols, entries
+        return matrix
+
+    @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
         return cls(n, n, {(i, i): ONE for i in range(n)})
 
@@ -85,7 +98,7 @@ class SparseMatrix:
         for (r, k), a in self.entries.items():
             for c, b in by_row.get(k, ()):
                 add_into(out, (r, c), a * b)
-        return SparseMatrix(self.rows, other.cols, out)
+        return SparseMatrix._trusted(self.rows, other.cols, out)
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -93,7 +106,7 @@ class SparseMatrix:
         out = dict(self.entries)
         for key, value in other.entries.items():
             add_into(out, key, value)
-        return SparseMatrix(self.rows, self.cols, out)
+        return SparseMatrix._trusted(self.rows, self.cols, out)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -289,7 +302,7 @@ def solve(matrix: SparseMatrix, b: Sequence[GaussianRational]) -> Optional[List[
         value = v if isinstance(v, GaussianRational) else GaussianRational(v)
         if value:
             augmented[(r, cols)] = value
-    ech = _Echelon(SparseMatrix(matrix.rows, cols + 1, augmented))
+    ech = _Echelon(SparseMatrix._trusted(matrix.rows, cols + 1, augmented))
     ech.forward()
     # pivots come in column order, so a pivot in column cols is the last one
     if ech.pivots and ech.pivots[-1][1] == cols:

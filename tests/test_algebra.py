@@ -186,9 +186,9 @@ def _pairing(spec, v_index):
     """The dbar block B^{1,0} -> B^{1,1} and the pairing read off it, rows b, columns j."""
     cx = ExteriorComplex(spec)
     block = cx.operator_block("dbar", 1, 0)
-    rows, cols = cx.basis_index(1, 1), cx.basis_index(1, 0)
     t_idx = [i for i in range(1, spec.n + 1) if i != v_index]
-    pairing = [[-block.matrix.entry(rows[Monomial((v_index,), (b,))], cols[Monomial((j,), ())])
+    pairing = [[-block.matrix.entry(cx.basis_index(Monomial((v_index,), (b,))),
+                                    cx.basis_index(Monomial((j,), ())))
                 for j in t_idx] for b in t_idx]
     return block, pairing
 

@@ -176,6 +176,34 @@ def test_parse_rejects_constants_that_are_not_a_list(value):
         parse_spec(text)
 
 
+@pytest.mark.parametrize("value, shown", [(5, "5"), (None, "null"), (["x"], '["x"]')],
+                         ids=repr)
+def test_parse_rejects_a_name_that_is_not_a_string(value, shown):
+    text = json.dumps({"name": value, "n": 1, "labels": ["X1"]})
+    with pytest.raises(SpecFormatError) as info:
+        parse_spec(text)
+    assert str(info.value) == f"'name' must be a string, got {shown}"
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("value, shown", [(1.5, "1.5"), (True, "true"), (None, "null"),
+                                          (1, "1"), (0, "0")], ids=repr)
+def test_parse_rejects_a_rational_that_is_not_a_string(part, value, shown):
+    item = {"k": 1, "j": 1, "m": 2, "re": "1", "im": "0"}
+    item[part] = value
+    text = json.dumps({"name": "x", "n": 2, "labels": ["A", "B"], "constants": [item]})
+    with pytest.raises(SpecFormatError) as info:
+        parse_spec(text)
+    assert str(info.value) == (
+        f"constants[0]: '{part}' must be a 'p' or 'p/q' string, got {shown}")
+
+
+def test_parse_defaults_a_missing_rational_part_to_zero():
+    spec = parse_spec('{"name": "x", "n": 2, "labels": ["A", "B"], '
+                      '"constants": [{"k": 1, "j": 1, "m": 2, "im": "1/2"}]}')
+    assert spec.constants[(1, 1, 2)] == gauss(0, HALF)
+
+
 def test_roundtrip_preserves_rationals_exactly():
     spec = parse_spec("""{"name": "exact", "n": 2, "labels": ["A", "B"],
         "constants": [{"k": 1, "j": 1, "m": 2,

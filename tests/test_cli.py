@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from nilpoisson import ExteriorComplex
 from nilpoisson.cli import main
 
 
@@ -32,6 +33,18 @@ def test_catalog_emit_roundtrip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "validate", str(spec_file))
     assert code == 0
     assert "step" in out and "2" in out
+
+
+@pytest.mark.parametrize("name", ["torus:3", "heisenberg-ext:2", "double-heisenberg:2,1",
+                                  "p4n2:2", "w4n6:1"])
+def test_catalog_emit_then_validate_matches_the_catalog_name(capsys, tmp_path, name):
+    code, out, _ = run_cli(capsys, "catalog", "emit", name)
+    assert code == 0
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(out)
+    from_file = run_cli(capsys, "validate", str(spec_file))
+    assert from_file == run_cli(capsys, "validate", name)
+    assert from_file[0] == 0 and from_file[1].startswith(f"{name}: valid")
 
 
 def test_validate_catalog_name(capsys):
@@ -377,6 +390,24 @@ def test_constants_that_are_not_a_list_exit_1(capsys, tmp_path):
     assert err == f"error: {bad}: 'constants' must be a list of objects\n"
 
 
+@pytest.mark.parametrize("field, shown", [("name", "5"), ("re", "1.5"), ("im", "true"),
+                                          ("re", "null"), ("im", "1")])
+def test_spec_values_that_are_not_strings_exit_1(capsys, tmp_path, field, shown):
+    item = {"k": 1, "j": 2, "m": 3, "re": "-1/2", "im": "0"}
+    raw = {"name": "x", "n": 3, "labels": ["A", "B", "C"], "constants": [item]}
+    (raw if field == "name" else item)[field] = json.loads(shown)
+    bad = tmp_path / "not-a-string.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 1
+    assert out == ""
+    if field == "name":
+        assert err == f"error: {bad}: 'name' must be a string, got {shown}\n"
+    else:
+        assert err == (f"error: {bad}: constants[0]: '{field}' must be a 'p' or 'p/q' "
+                       f"string, got {shown}\n")
+
+
 def test_non_poisson_input_is_rejected(capsys):
     code, _, err = run_cli(capsys, "analyze", "three-step:1")
     assert code == 1
@@ -399,3 +430,37 @@ def test_module_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["hn_lambda"]["1"] == 5
+
+
+# -- support-only assembly ------------------------------------------------------------
+
+
+def test_analyze_and_obstruction_build_no_monomial_basis(capsys, monkeypatch):
+    expected = [run_cli(capsys, "analyze", "w4n6:3", "--poisson", "V^T1", "--max-degree", "5",
+                        "--json"),
+                run_cli(capsys, "obstruction", "w4n6:1", "--t", "T1")]
+
+    def no_basis(self, p, q):
+        raise AssertionError(f"basis({p}, {q}) built on the assembly path")
+
+    monkeypatch.setattr(ExteriorComplex, "basis", no_basis)
+    assert [run_cli(capsys, "analyze", "w4n6:3", "--poisson", "V^T1", "--max-degree", "5",
+                    "--json"),
+            run_cli(capsys, "obstruction", "w4n6:1", "--t", "T1")] == expected
+    assert expected[0][0] == 0 and expected[1][0] == 0
+
+
+def test_deform_builds_only_the_k1_basis(capsys, monkeypatch):
+    asked = []
+    basis = ExteriorComplex.basis
+
+    def k1_basis_only(self, p, q):
+        asked.append((p, q))
+        assert p + q == 1, f"basis({p}, {q}) is not a K^1 block"
+        return basis(self, p, q)
+
+    monkeypatch.setattr(ExteriorComplex, "basis", k1_basis_only)
+    code, out, _ = run_cli(capsys, "deform", "w4n6:0", "--poisson", "V^T2",
+                           "--omega", "rho_bar^w1_bar")
+    assert code == 0 and "K^1" in out
+    assert sorted(set(asked)) == [(0, 1), (1, 0)]

@@ -535,6 +535,53 @@ def test_total_operator_rejects_two_pieces_on_one_block_pair(w6_complex):
     assert total_operator(cx, [], 1).entries == expected
 
 
+def _parse(cx, text):
+    return parse_multivector(text, ExpressionContext(cx.spec, cx.report))
+
+
+def _assert_as_if_checked(matrix):
+    """A matrix built without checks equals its rebuild through the public constructor."""
+    assert SparseMatrix(matrix.rows, matrix.cols, matrix.entries) == matrix
+    assert all(0 <= r < matrix.rows and 0 <= c < matrix.cols and value
+               for (r, c), value in matrix.entries.items())
+
+
+def test_unchecked_matrices_hold_only_in_range_nonzero_entries(monkeypatch):
+    """Blocks, total operators and delta^2 products skip the constructor's checks.
+
+    So every one of them, on an analysis at full degree and on a deformation,
+    must pass those checks when rebuilt through ``SparseMatrix(rows, cols, entries)``.
+    """
+    import nilpoisson.cohomology as cohomology
+
+    operators, products = [], []
+
+    def recording(original, into):
+        def record(*args, **kwargs):
+            result = original(*args, **kwargs)
+            into.append(result)
+            return result
+        return record
+
+    monkeypatch.setattr(cohomology, "total_operator",
+                        recording(cohomology.total_operator, operators))
+    monkeypatch.setattr(SparseMatrix, "__matmul__", recording(SparseMatrix.__matmul__, products))
+
+    cx = ExteriorComplex(parse_catalog_name("w4n6:1"))
+    analyze(cx, _parse(cx, "V^T1"), max_degree=cx.dim_l)
+    deform_cx = ExteriorComplex(parse_catalog_name("p4n2:2"))
+    deformed_complex(deform_cx, _parse(deform_cx, "V^T2"),
+                     _parse(deform_cx, "rho_bar^w1_bar"))
+
+    # T_0..T_10 of the analysis, T_0..T_6 and the six delta^2 products of the deformation
+    assert len(operators) == 11 + 7 and len(products) == 6
+    assert sum(m.nnz() for m in operators) > 1000
+    blocks = [block.matrix for c in (cx, deform_cx) for block in c._blocks.values()]
+    assert len(blocks) > 50
+    for matrix in blocks + operators + products:
+        _assert_as_if_checked(matrix)
+
+
 # -- deformation ----------------------------------------------------------------------
 
 

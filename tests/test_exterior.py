@@ -12,15 +12,18 @@ anchors on randomized homogeneous elements.
 """
 
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nilpoisson import AlgebraSpec, ExteriorComplex, GradedElement, Monomial, wedge
-from nilpoisson.catalog import (double_heisenberg, heisenberg_ext, p_family, torus,
-                                w_family)
+from nilpoisson.catalog import (double_heisenberg, heisenberg_ext, p_family,
+                                parse_catalog_name, torus, w_family)
 from nilpoisson.exterior import NotBidegree, NotHolomorphic, monomial_wedge
 from nilpoisson.rationals import GaussianRational, gauss
 from nilpoisson.sparse import SparseMatrix
@@ -291,6 +294,37 @@ def test_kernel_of_w6_vector_block(w6_complex):
     assert supports == [(0,), (2,)]      # basis order T1, T2, V
 
 
+# -- positions by arithmetic ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["torus:3", "w4n6:1", "p4n2:2"])
+def test_position_rule_matches_the_materialised_basis(name):
+    cx = ExteriorComplex(parse_catalog_name(name))
+    n = cx.n
+    for p in range(n + 1):
+        for q in range(n + 1):
+            basis = cx.basis(p, q)
+            assert cx.block_dim(p, q) == len(basis) == comb(n, p) * comb(n, q)
+            assert [cx.basis_index(mono) for mono in basis] == list(range(len(basis)))
+            assert all(mono.bidegree == (p, q) for mono in basis)
+    for degree in range(2 * n + 2):
+        assert cx.k_dim(degree) == comb(2 * n, degree)
+    for p, q in ((-1, 0), (0, -1), (n + 1, 0), (0, n + 1), (-1, n + 2), (n + 1, n + 1)):
+        assert cx.block_dim(p, q) == 0 and cx.basis(p, q) == ()
+
+
+def test_degree_sizes_build_no_rank_table_on_a_large_torus():
+    cx = ExteriorComplex(parse_catalog_name("torus:30"))
+    start = time.perf_counter()
+    assert cx.k_dim(6) == comb(60, 6)
+    assert cx.block_dim(3, 3) == comb(30, 3) ** 2
+    assert time.perf_counter() - start < 1.0
+    assert not cx._ranks                      # sizing builds no table at all
+    pairs = list(combinations(range(1, 31), 2))
+    assert cx.basis_index(((2, 5), (30,))) == pairs.index((2, 5)) * 30 + 29
+    assert max(cx._ranks) <= 6 and set(cx._ranks) == {1, 2}
+
+
 # -- graded identities ----------------------------------------------------------------
 
 
@@ -480,7 +514,7 @@ def test_layer_bracket_constraints(cx):
 def _oracle_block(cx, kind, p, q, element=None):
     """The block built one source monomial at a time through dbar / schouten."""
     block = cx.operator_block(kind, p, q, element)
-    index = cx.basis_index(*block.target)
+    index = {mono: row for row, mono in enumerate(cx.basis(*block.target))}
     entries = {}
     for col, mono in enumerate(cx.basis(p, q)):
         source = GradedElement.monomial(mono)
