@@ -11,12 +11,23 @@ derived from conjugation, never stored, which removes reality-violating
 inputs as a class.  In the 2-step case ``A^V_{kj}`` is the matrix ``E_{kj}``
 of the dual structure equation for the central (1,0)-form.
 
-:func:`validate` checks the Jacobi identity on all complexified basis
-triples, runs the lower central series to find the nilpotency step, and
-computes the center and the layer decomposition of ``g^{1,0}`` induced by
-the J-closed lower central series.  Every span and membership test here
-goes through the exact triple elimination of :mod:`nilpoisson.sparse`
-(:func:`~nilpoisson.sparse.span_basis`,
+The spec expands the constants once into one table ``{(a, b): [e_a, e_b]}``
+over the ordered complexified basis pairs with a nonzero bracket
+(coordinates 0..n-1 are X_j, n..2n-1 are Xbar_j): ``A^m_{kj}`` puts
+``+-A^m_{kj}`` at X_m in ``[Xbar_k, X_j]`` / ``[X_j, Xbar_k]`` and
+``-+conj(A^m_{kj})`` at Xbar_m in ``[Xbar_j, X_k]`` / ``[X_k, Xbar_j]``.
+:meth:`AlgebraSpec.bracket` is bilinear in that table.
+
+:func:`validate` reads the table directly.  It checks the Jacobi identity
+on the basis triples ``a < b < c``, in ascending order, in which some pair
+has a table entry: on any other triple ``[e_a, e_b]``, ``[e_b, e_c]`` and
+``[e_c, e_a]`` vanish, so every term is a bracket of zero.  It then runs
+the lower central series (``g^1 = [g, g]`` is the span of the table's
+values) to find the nilpotency step, and computes the center (one row per
+entry ``[Xbar_k, X_j]``) and the layer decomposition of ``g^{1,0}``
+induced by the J-closed lower central series.  Every span and membership
+test here goes through the exact triple elimination of
+:mod:`nilpoisson.sparse` (:func:`~nilpoisson.sparse.span_basis`,
 :func:`~nilpoisson.sparse.independent_indices`).
 """
 
@@ -93,13 +104,16 @@ class AlgebraSpec:
                 clean[(k, j, m)] = value
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "constants", clean)
-        # [Xbar_k, X_j] for every (k, j) with a nonzero bracket: A^m_{kj} at X_m
-        # and B^m_{kj} = -conj(A^m_{jk}) at Xbar_m (complexified coordinates)
-        conj_brackets: Dict[Tuple[int, int], Vector] = {}
+        # The bracket table (see the module docstring); no two constants write
+        # the same coordinate of the same entry.
+        n = self.n
+        table: Dict[Tuple[int, int], Vector] = {}
         for (k, j, m), value in clean.items():
-            conj_brackets.setdefault((k, j), {})[m - 1] = value
-            conj_brackets.setdefault((j, k), {})[self.n + m - 1] = -value.conjugate()
-        object.__setattr__(self, "_conj_brackets", conj_brackets)
+            table.setdefault((n + k - 1, j - 1), {})[m - 1] = value
+            table.setdefault((j - 1, n + k - 1), {})[m - 1] = -value
+            table.setdefault((n + j - 1, k - 1), {})[n + m - 1] = -value.conjugate()
+            table.setdefault((k - 1, n + j - 1), {})[n + m - 1] = value.conjugate()
+        object.__setattr__(self, "_brackets", table)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraSpec):
@@ -128,30 +142,16 @@ class AlgebraSpec:
     # Complexified coordinates: 0..n-1 are the X_j components, n..2n-1 the
     # Xbar_j components (1-based basis index j = coordinate + 1).
 
-    def bracket_conj_vec(self, k: int, j: int) -> Vector:
-        """[Xbar_k, X_j] in complexified coordinates (shared; do not mutate)."""
-        return self._conj_brackets.get((k, j), {})
-
     def bracket(self, u: Vector, v: Vector) -> Vector:
-        """Bracket of complexified coordinate vectors."""
-        n = self.n
+        """Bracket of complexified coordinate vectors, bilinear in the table."""
         out: Vector = {}
         for cu, au in u.items():
-            if not au:
-                continue
             for cv, av in v.items():
-                if not av:
-                    continue
-                coeff = au * av
-                if cu >= n and cv < n:        # [Xbar_k, X_j]
-                    piece = self.bracket_conj_vec(cu - n + 1, cv + 1)
-                elif cu < n and cv >= n:      # [X_j, Xbar_k] = -[Xbar_k, X_j]
-                    piece = self.bracket_conj_vec(cv - n + 1, cu + 1)
-                    coeff = -coeff
-                else:                          # like-type brackets vanish
-                    continue
-                for c, value in piece.items():
-                    add_into(out, c, coeff * value)
+                piece = self._brackets.get((cu, cv))
+                if piece and au and av:
+                    coeff = au * av
+                    for c, value in piece.items():
+                        add_into(out, c, coeff * value)
         return out
 
 
@@ -189,35 +189,31 @@ def validate(spec: AlgebraSpec) -> StructureReport:
     """
     n = spec.n
     dim = 2 * n
-
-    # Jacobi on all unordered complexified basis triples.  Like-type triples
-    # are automatic only when brackets vanish, so check everything.
+    table = spec._brackets
     basis_vectors = [{i: GaussianRational(1)} for i in range(dim)]
 
     def _names(i):
         return spec.label(i + 1) if i < n else spec.label(i - n + 1) + "_bar"
 
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            ab = spec.bracket(basis_vectors[a], basis_vectors[b])
-            for c in range(b + 1, dim):
-                total: Vector = {}
-                for term in (
-                    spec.bracket(ab, basis_vectors[c]),
-                    spec.bracket(spec.bracket(basis_vectors[b], basis_vectors[c]), basis_vectors[a]),
-                    spec.bracket(spec.bracket(basis_vectors[c], basis_vectors[a]), basis_vectors[b]),
-                ):
-                    for coord, value in term.items():
-                        add_into(total, coord, value)
-                if total:
-                    raise JacobiViolation((_names(a), _names(b), _names(c)))
+    # Jacobi on the basis triples a < b < c that hold a bracketing pair, in
+    # ascending order; on any other triple every term is a bracket of zero.
+    triples = sorted({tuple(sorted((a, b, c))) for a, b in table if a < b
+                      for c in range(dim) if c != a and c != b})
+    for a, b, c in triples:
+        total: Vector = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for m, coeff in table.get((x, y), {}).items():
+                for coord, value in table.get((m, z), {}).items():
+                    add_into(total, coord, coeff * value)
+        if total:
+            raise JacobiViolation((_names(a), _names(b), _names(c)))
 
     # Lower central series g^p = [g^{p-1}, g] on the complexified algebra,
-    # each term as its RREF basis.
+    # each term as its RREF basis; g^1 = [g, g] is spanned by the table.
     def bracket_span(vectors: List[Vector]) -> List[Vector]:
         return span_basis([w for u in vectors for v in basis_vectors if (w := spec.bracket(u, v))])
 
-    series = [bracket_span(basis_vectors)]
+    series = [span_basis([table[pair] for pair in sorted(table)])]
     while series[-1]:
         if len(series) > dim:
             raise NotNilpotent(f"lower central series of {spec.name!r} does not reach zero")
@@ -230,9 +226,8 @@ def validate(spec: AlgebraSpec) -> StructureReport:
     # Center intersected with g^{1,0}: c = sum_j c_j X_j is central iff
     # [Xbar_k, c] = 0 for every k (like-type brackets vanish), one row per
     # (k, complexified coordinate).
-    rows = {((k - 1) * dim + coord, j - 1): value
-            for k in range(1, n + 1) for j in range(1, n + 1)
-            for coord, value in spec.bracket_conj_vec(k, j).items()}
+    rows = {((a - n) * dim + coord, b): value
+            for (a, b), vec in table.items() if a >= n for coord, value in vec.items()}
     center_vecs = kernel_vectors(SparseMatrix(n * dim, n, rows))
 
     # J-closed filtration of g^{1,0}: project each series term to its (1,0)

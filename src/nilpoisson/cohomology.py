@@ -43,9 +43,10 @@ way and is ranked without bands.
 
 Dimension statements that are theorems (the injectivity bound, the
 obstruction/degeneracy equivalence, the Hodge equality under a solvable
-obstruction) are enforced as fatal consistency checks: a violation raises
-:class:`ConsistencyError` instead of being reported as a result, since it
-can only mean an implementation bug.
+obstruction, Serre symmetry of the full Dolbeault table) are enforced as
+fatal consistency checks: a violation raises :class:`ConsistencyError`
+instead of being reported as a result, since it can only mean an
+implementation bug.
 """
 
 from __future__ import annotations
@@ -544,6 +545,27 @@ def _detect_center_wedge(cx: ExteriorComplex, lam: GradedElement) -> Optional[Gr
     return t
 
 
+def _check_serre_symmetry(cx: ExteriorComplex, hpq: Dict[Tuple[int, int], int]) -> None:
+    """h^{p,q} = h^{n-p,n-q} on the full Dolbeault table, or ConsistencyError.
+
+    A nilpotent Lie algebra with a complex structure has a nonzero closed
+    invariant (n,0)-form (Salamon, "Complex structures on nilpotent Lie
+    algebras", J. Pure Appl. Algebra 157, 2001).  Contraction with it maps
+    B^{p,q} isomorphically onto the forms Lambda^{n-p,q} and commutes with
+    dbar, so h^{p,q} = h_dbar^{n-p,q}.  A nilpotent Lie algebra is
+    unimodular, so Serre duality gives h_dbar^{n-p,q} = h_dbar^{p,n-q},
+    which is h^{n-p,n-q} by the same contraction.  The table does not
+    depend on Lambda.
+    """
+    n = cx.n
+    for (p, q), dim in hpq.items():
+        dual = hpq[(n - p, n - q)]
+        if dim != dual:
+            raise ConsistencyError(
+                f"{cx.spec.name}: h^{{{p},{q}}} = {dim} but h^{{{n - p},{n - q}}} = {dual}; "
+                "this contradicts Serre symmetry and indicates a bug")
+
+
 def analyze(cx: ExteriorComplex, lam: Optional[GradedElement] = None,
             max_degree: Optional[int] = None,
             poisson_text: Optional[str] = None) -> CohomologyReport:
@@ -579,6 +601,8 @@ def analyze(cx: ExteriorComplex, lam: Optional[GradedElement] = None,
             raise ConsistencyError(
                 f"{cx.spec.name}, Lambda = {_render(cx, lam)}: solvable obstruction "
                 "without the Hodge-type dimension equality")
+    if cap == cx.dim_l:
+        _check_serre_symmetry(cx, hpq)
 
     return CohomologyReport(
         algebra_name=cx.spec.name,

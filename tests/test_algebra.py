@@ -3,12 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilpoisson import (AlgebraError, AlgebraSpec, ExteriorComplex, IndexOutOfRange,
                         JacobiViolation, Monomial, NotNilpotent, validate)
 from nilpoisson.catalog import (double_heisenberg, heisenberg_ext, p_family, torus,
                                 w_family)
-from nilpoisson.rationals import gauss
+from nilpoisson.rationals import add_into, gauss
+from test_exterior import _small_scalars
 
 HALF = Fraction(1, 2)
 
@@ -171,8 +174,128 @@ def test_derived_coefficients_are_an_involution(w6):
     """
     for spec in (heisenberg_ext(2), double_heisenberg(1, 1), p_family(1), w6):
         for (k, j, m), value in spec.constants.items():
-            b = spec.bracket_conj_vec(j, k).get(spec.n + m - 1, gauss(0))
+            bracket = spec.bracket({spec.n + j - 1: gauss(1)}, {k - 1: gauss(1)})
+            b = bracket.get(spec.n + m - 1, gauss(0))
             assert -b.conjugate() == value
+
+
+# -- the Jacobi sweep against the all-triples reference ------------------------
+
+
+def _reference_bracket(spec, u, v):
+    """The bracket decoded from the constants by basis type, without the table."""
+    n = spec.n
+
+    def conj_bracket(k, j):
+        """[Xbar_k, X_j] = sum_m A^m_{kj} X_m - sum_m conj(A^m_{jk}) Xbar_m."""
+        out = {}
+        for (kk, jj, m), value in spec.constants.items():
+            if (kk, jj) == (k, j):
+                add_into(out, m - 1, value)
+            if (kk, jj) == (j, k):
+                add_into(out, n + m - 1, -value.conjugate())
+        return out
+
+    out = {}
+    for cu, au in u.items():
+        for cv, av in v.items():
+            if cu >= n and cv < n:
+                piece, coeff = conj_bracket(cu - n + 1, cv + 1), au * av
+            elif cu < n and cv >= n:
+                piece, coeff = conj_bracket(cv - n + 1, cu + 1), -(au * av)
+            else:
+                continue
+            for c, value in piece.items():
+                add_into(out, c, coeff * value)
+    return out
+
+
+def _reference_jacobi_triple(spec):
+    """The first failing basis triple of the sweep over all C(2n, 3) triples, or None."""
+    n, dim = spec.n, 2 * spec.n
+    e = [{i: gauss(1)} for i in range(dim)]
+
+    def name(i):
+        return spec.label(i + 1) if i < n else spec.label(i - n + 1) + "_bar"
+
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            for c in range(b + 1, dim):
+                total = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for coord, value in _reference_bracket(
+                            spec, _reference_bracket(spec, e[x], e[y]), e[z]).items():
+                        add_into(total, coord, value)
+                if total:
+                    return (name(a), name(b), name(c))
+    return None
+
+
+def _assert_table_matches_the_reference(spec):
+    dim = 2 * spec.n
+    for a in range(dim):
+        for b in range(dim):
+            u, v = {a: gauss(1)}, {b: gauss(1)}
+            assert spec.bracket(u, v) == _reference_bracket(spec, u, v)
+
+
+def _validate_jacobi_triple(spec):
+    """The triple JacobiViolation names, or None when validate raises no JacobiViolation."""
+    try:
+        validate(spec)
+    except JacobiViolation as exc:
+        return exc.triple
+    except AlgebraError:
+        pass
+    return None
+
+
+_SMALL_CATALOG = [(torus, (1,)), (torus, (3,)), (heisenberg_ext, (1,)), (heisenberg_ext, (3,)),
+                  (double_heisenberg, (1, 1)), (double_heisenberg, (1, 2)),
+                  (double_heisenberg, (2, 1)), (p_family, (1,)), (p_family, (2,)),
+                  (w_family, (0,)), (w_family, (1,)), (w_family, (2,))]
+
+
+@pytest.mark.parametrize("builder,parameters", _SMALL_CATALOG)
+def test_table_and_jacobi_sweep_match_the_reference_on_the_catalog(builder, parameters):
+    spec = builder(*parameters)
+    _assert_table_matches_the_reference(spec)
+    assert _reference_jacobi_triple(spec) is None
+    assert _validate_jacobi_triple(spec) is None
+
+
+@st.composite
+def _random_constants(draw):
+    """Random constants with n <= 4; most of them violate Jacobi."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    index = st.integers(min_value=1, max_value=n)
+    constants = draw(st.dictionaries(st.tuples(index, index, index), _small_scalars, max_size=6))
+    return AlgebraSpec("random", n, tuple(f"X{j}" for j in range(1, n + 1)), constants)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_random_constants())
+def test_jacobi_sweep_names_the_reference_triple_on_random_constants(spec):
+    _assert_table_matches_the_reference(spec)
+    assert _validate_jacobi_triple(spec) == _reference_jacobi_triple(spec)
+
+
+def test_validate_reads_the_table_not_bracket(monkeypatch):
+    """The Jacobi sweep, g^1 and the center read the table; only g^2, g^3, ... call bracket."""
+    from nilpoisson.catalog import parse_catalog_name
+
+    real = AlgebraSpec.bracket
+    calls = []
+
+    def counted(self, u, v):
+        calls.append(1)
+        return real(self, u, v)
+
+    monkeypatch.setattr(AlgebraSpec, "bracket", counted)
+    validate(parse_catalog_name("torus:30"))
+    assert len(calls) == 0
+    validate(parse_catalog_name("w4n6:3"))
+    assert 0 < len(calls) <= 500
 
 
 # -- the pairing matrix ------------------------------------------------------

@@ -226,6 +226,29 @@ def test_dimension_above_the_injectivity_bound_exits_2(capsys, monkeypatch):
                    "and indicates a bug\n")
 
 
+def test_dolbeault_table_without_serre_symmetry_exits_2(capsys, monkeypatch):
+    """At full degree h^{p,q} = h^{n-p,n-q} is a theorem, checked fatally."""
+    from nilpoisson import cohomology
+
+    real = cohomology.dolbeault_dims
+
+    def skewed(*args, **kwargs):
+        dims = real(*args, **kwargs)
+        return {**dims, (0, 1): dims[(0, 1)] + 1}
+
+    monkeypatch.setattr(cohomology, "dolbeault_dims", skewed)
+    code, out, err = run_cli(capsys, "analyze", "w4n6:0", "--poisson", "V^T1", "--json")
+    assert code == 2
+    assert out == ""
+    assert err == ("internal consistency failure: w4n6:0: h^{0,1} = 4 but h^{3,2} = 3; "
+                   "this contradicts Serre symmetry and indicates a bug\n")
+    # below full degree the table is incomplete and the check does not run
+    code, out, _ = run_cli(capsys, "analyze", "w4n6:0", "--poisson", "V^T1", "--max-degree", "5",
+                           "--json")
+    assert code == 0
+    assert json.loads(out)["hpq"]
+
+
 def test_second_page_outside_the_sandwich_exits_2(capsys, monkeypatch):
     """Per degree, the E_2 sum lies between dim H^n_Lambda and the E_1 sum."""
     from nilpoisson import cohomology
