@@ -327,15 +327,16 @@ def check_obstruction_verdict(cx: ExteriorComplex, lam: GradedElement, kind: str
     """Whether the obstruction ``kind`` for lam = V ^ T says degenerate.
 
     For such lam the obstruction is equivalent to first-page degeneracy,
-    and an unsolvable obstruction is exactly d_1^{0,1} != 0.  So whenever
-    ``page`` reaches the block (0,1), disagreeing with its degeneracy, or
-    an unsolvable verdict with d_1^{0,1} = 0, raises
-    :class:`ConsistencyError`.  A page at cap 1 is enough for an
-    unsolvable verdict.
+    and an unsolvable obstruction is exactly d_1^{0,1} != 0.  So
+    disagreeing with the page's degeneracy, or an unsolvable verdict with
+    d_1^{0,1} = 0, raises :class:`ConsistencyError`.  A page that lacks
+    the block (0,1) (cap 0) is replaced by the page at cap 1, whose pivot
+    counts are memoized.  A page at cap 1 is enough for an unsolvable
+    verdict.
     """
     degenerate = kind in ("trivial_action", "solvable")
     if (0, 1) not in page.e1:
-        return degenerate
+        page = first_page(cx, lam, 1)
     if degenerate != page.degenerate:
         raise ConsistencyError(
             f"{cx.spec.name}, Lambda = {_render(cx, lam)}: obstruction {kind!r} says "
@@ -419,9 +420,11 @@ def deformed_complex(cx: ExteriorComplex, lam: GradedElement, omega_bar: GradedE
     """Cohomology of delta = dbar_Lambda + [Omega_bar, -] plus ker on K^1.
 
     Omega_bar must be an integrable (0,2) class: dbar_Lambda(Omega_bar) = 0
-    and [Omega_bar, Omega_bar] = 0.  delta^2 = 0 is verified block-wise on
-    the assembled matrices before any dimension is reported.  Lambda is
-    checked first with :meth:`ExteriorComplex.validate_poisson`.
+    and [Omega_bar, Omega_bar] = 0.  delta^2 = 0 is verified on every
+    pair of assembled operators T_n, T_{n+1} before any dimension is
+    reported; T_1 is assembled at every cap, cap 0 included, for the
+    kernel on K^1.  Lambda is checked first with
+    :meth:`ExteriorComplex.validate_poisson`.
     """
     cx.validate_poisson(lam)
     if omega_bar and not omega_bar.is_homogeneous(0, 2):
@@ -435,8 +438,8 @@ def deformed_complex(cx: ExteriorComplex, lam: GradedElement, omega_bar: GradedE
 
     summands = [lam, omega_bar]
     cap = degree_cap(cx, max_degree)
-    operators = {n: total_operator(cx, summands, n) for n in range(cap + 1)}
-    for n in range(cap):
+    operators = [total_operator(cx, summands, n) for n in range(max(cap, 1) + 1)]
+    for n in range(len(operators) - 1):
         if not (operators[n + 1] @ operators[n]).is_zero():
             raise ConsistencyError(
                 f"{cx.spec.name}, Lambda = {_render(cx, lam)}, Omega_bar = "
@@ -449,16 +452,10 @@ def deformed_complex(cx: ExteriorComplex, lam: GradedElement, omega_bar: GradedE
         dims[n] = cx.k_dim(n) - r - previous_rank
         previous_rank = r
 
-    kernel_elements = []
-    if cap >= 1:
-        blocks = _degree_blocks(cx, 1)
-        flat_basis: List[Monomial] = []
-        for (p, q) in blocks:
-            flat_basis.extend(cx.basis(p, q))
-        for vec in kernel_vectors(operators[1]):
-            element = GradedElement({flat_basis[i]: v for i, v in vec.items()})
-            kernel_elements.append(element)
-    return DeformationReport(dims=dims, k1_kernel=tuple(kernel_elements))
+    flat_basis = [mono for block in _degree_blocks(cx, 1) for mono in cx.basis(*block)]
+    kernel_elements = tuple(GradedElement({flat_basis[i]: v for i, v in vec.items()})
+                            for vec in kernel_vectors(operators[1]))
+    return DeformationReport(dims=dims, k1_kernel=kernel_elements)
 
 
 # -- full analysis ------------------------------------------------------------------
@@ -590,6 +587,7 @@ def analyze(cx: ExteriorComplex, lam: Optional[GradedElement] = None,
 
     obstruction_kind = None
     obstruction_solution = None
+    degeneracy = page.degenerate
     t = _detect_center_wedge(cx, lam)
     if t is not None:
         result = obstruction(cx, t)
@@ -597,7 +595,8 @@ def analyze(cx: ExteriorComplex, lam: Optional[GradedElement] = None,
         if result.solution is not None:
             obstruction_solution = {
                 cx.spec.label(i): v for i, v in zip(result.t_indices, result.solution) if v}
-        if check_obstruction_verdict(cx, lam, result.kind, page) and not verdict.hodge:
+        degeneracy = check_obstruction_verdict(cx, lam, result.kind, page)
+        if degeneracy and not verdict.hodge:
             raise ConsistencyError(
                 f"{cx.spec.name}, Lambda = {_render(cx, lam)}: solvable obstruction "
                 "without the Hodge-type dimension equality")
@@ -616,7 +615,7 @@ def analyze(cx: ExteriorComplex, lam: Optional[GradedElement] = None,
         hn_lambda=hn,
         e1_d1_ranks=page.d1_ranks,
         e2=e2,
-        degeneracy=page.degenerate,
+        degeneracy=degeneracy,
         hodge=verdict.hodge,
         per_degree=verdict.per_degree,
         obstruction_kind=obstruction_kind,

@@ -29,32 +29,36 @@ monomials of a block, lazily, for callers that need them as objects;
 assembly never calls it.
 
 Both operators are graded derivations, fixed by their values on the 2n
-generators, and one routine, ``_derive``, applies either: a monomial
-g_1 ^ ... ^ g_k maps to the sum over positions of
-(-1)^{pos if odd} g_1..g_{pos-1} ^ D(g_pos) ^ g_{pos+1}..g_k, each term
-wedged on raw monomials (``monomial_wedge``) and added into one term dict.
-The generator images of dbar and of every ad_g (the rows of the bracket
-table above) are built once from the structure constants, as plain term
-dicts {generator: {monomial: coefficient}}; every linear combination here
-is such a dict, summed with :func:`~nilpoisson.rationals.add_into`.  dbar
-is odd.  For E of one degree parity, ad_E = [E, -] has odd = (|E|-1) mod 2
-and images [E, g] = -[g, E], where [g, E] is the even derivation ad_g
-applied to E; the pair (images, odd) is memoized per E, and ``schouten``
-splits its first argument by degree parity.  Expanding this way is the graded
-Leibniz rule [a, b^c] = [a,b]^c + (-1)^{(|a|-1)|b|} b^[a,c] together
-with graded antisymmetry [b,a] = -(-1)^{(|a|-1)(|b|-1)}[a,b].
+generators, and one routine, ``_derive``, applies either.  A derivation D
+of parity e maps g_1 ^ ... ^ g_k to the sum over positions of
+(-1)^{pos e} g_1..g_{pos-1} ^ D(g_pos) ^ g_{pos+1}..g_k.  Every generator
+image has degree e + 1 mod 2 (degree 2 for dbar, |E| for [E, -]), so
+moving D(g_pos) to the front costs (-1)^{pos (e+1)} and each term is
+(-1)^pos D(g_pos) ^ rest, rest the monomial without g_pos: one
+``monomial_wedge`` per (position, image term), with no parity.  The rule
+is linear in the images, so it holds for E of mixed parity as well.  The
+generator images of dbar and of every ad_g (the rows of the bracket table
+above) are built once from the structure constants, as plain term dicts
+{generator: {monomial: coefficient}}; every linear combination here is
+such a dict, summed with :func:`~nilpoisson.rationals.add_into`.  The
+images of [E, -] are [E, g] = -[g, E], where [g, E] is ad_g applied to E,
+memoized per E.  Expanding this way is the graded Leibniz rule
+[a, b^c] = [a,b]^c + (-1)^{(|a|-1)|b|} b^[a,c] together with graded
+antisymmetry [b,a] = -(-1)^{(|a|-1)(|b|-1)}[a,b].
 
-Blocks are assembled factorised.  For D = dbar or D = ad_E,
+Blocks are assembled factorised.  For D = dbar or D = ad_E, of parity e,
 
-    D(X_P ^ wbar_Q) = D(X_P) ^ wbar_Q + (-1)^{|P| if odd} X_P ^ D(wbar_Q),
+    D(X_P ^ wbar_Q) = D(X_P) ^ wbar_Q + (-1)^{|P| e} X_P ^ D(wbar_Q),
 
-so a block needs only the C(n,p) images D(X_P) and the C(n,q) images
-D(wbar_Q) (all zero for dbar).  These are memoized per (operator, side,
-degree), each coefficient stored beside its negation.  A column is then a
-merge of each D(X_P) term's forms with Q and of P with each D(wbar_Q)
-term's vectors, and the row is the position rule above; entries are added
-only where the two parts share a row.  Every entry is nonzero and in
-range by construction, so blocks wrap their entry dict without a check.
+where e is the parity of the degree D adds: odd for dbar and for ad_E
+with |E| even.  So a block needs only the C(n,p) images D(X_P) and the
+C(n,q) images D(wbar_Q) (all zero for dbar).  These are memoized per
+(operator, side, degree), each coefficient stored beside its negation.
+A column is then a merge of each D(X_P) term's forms with Q and of P with
+each D(wbar_Q) term's vectors, and the row is the position rule above;
+entries are added only where the two parts share a row.  Every entry is
+nonzero and in range by construction, so blocks wrap their entry dict
+without a check.
 
 The positional route and the block loop stay separate on purpose:
 ``dbar`` and ``schouten`` never call ``_images`` or ``operator_block``, so
@@ -73,10 +77,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .algebra import AlgebraSpec, StructureReport, validate
-from .rationals import GaussianRational, add_into
+from .rationals import ONE, GaussianRational, add_into
 from .sparse import SparseMatrix
 
 
@@ -340,8 +344,8 @@ class ExteriorComplex:
             bracket = value.conjugate()
             add_into(self._bracket_rows.setdefault(x_k, {}).setdefault(w_m, {}), w_j, -bracket)
             add_into(self._bracket_rows.setdefault(w_m, {}).setdefault(x_k, {}), w_j, bracket)
-        # element cache_key (None for dbar) -> (generator images, odd)
-        self._derivations: dict = {None: (dbar_images, True)}
+        # element cache_key (None for dbar) -> generator images
+        self._derivations: dict = {None: dbar_images}
 
     # -- canonical bases ---------------------------------------------------
 
@@ -388,75 +392,59 @@ class ExteriorComplex:
 
     # -- graded derivations ------------------------------------------------------
 
-    def _derivation(self, element: Optional[GradedElement], key
-                    ) -> Tuple[Dict[Monomial, Terms], bool]:
-        """(generator images, odd) of dbar (element None) or of [element, -].
+    def _derivation(self, element: Optional[GradedElement], key) -> Dict[Monomial, Terms]:
+        """Generator images of dbar (element None) or of [element, -].
 
-        ``element`` must have one degree parity.  Its images are
-        [element, g] = -[g, element], each [g, element] the even derivation
-        ad_g applied to element.  Memoized per ``key``, the element's
-        ``cache_key()`` (None for dbar).
+        The images of [element, -] are [element, g] = -[g, element], each
+        [g, element] the derivation ad_g applied to element.  Memoized per
+        ``key``, the element's ``cache_key()`` (None for dbar).
         """
-        pair = self._derivations.get(key)
-        if pair is None:
+        images = self._derivations.get(key)
+        if images is None:
             images = {}
             for generator, row in self._bracket_rows.items():
-                image = self._derive(row, False, element, {})
+                image = self._derive(row, element.terms(), {})
                 if image:
                     images[generator] = {m: -c for m, c in image.items()}
-            odd = any((mono.degree - 1) % 2 for mono, _ in element.terms())
-            pair = self._derivations[key] = (images, odd)
-        return pair
+            self._derivations[key] = images
+        return images
 
     @staticmethod
-    def _derive(images: Dict[Monomial, Terms], odd: bool, element: GradedElement,
-                terms: Terms) -> Terms:
-        """Add the derivation with these generator images, applied to element, into terms.
+    def _derive(images: Dict[Monomial, Terms],
+                pairs: Iterable[Tuple[Monomial, GaussianRational]], terms: Terms) -> Terms:
+        """Add the derivation with these generator images, applied to pairs, into terms.
 
-        Each monomial g_1 ^ ... ^ g_k maps to the sum over positions of
-        (-1)^{pos if odd} g_1..g_{pos-1} ^ image(g_pos) ^ g_{pos+1}..g_k,
-        each image term wedged between prefix and suffix as a monomial.
-        ``images`` is keyed by degree-1 monomials, which a plain (vec, form)
-        tuple finds.  Returns ``terms``.
+        ``pairs`` are (monomial, coefficient) terms.  Each monomial
+        g_1 ^ ... ^ g_k maps to the sum over positions pos = 0..k-1 of
+        (-1)^pos image(g_pos) ^ rest, rest the monomial without g_pos; this
+        needs the images of a derivation of parity e to have degree e + 1
+        mod 2 (see the module docstring).  ``images`` is keyed by degree-1
+        monomials, which a plain (vec, form) tuple finds.  Returns ``terms``.
         """
-        for (vec, form), coeff in element.terms():
+        for (vec, form), coeff in pairs:
             n_vec = len(vec)
             for pos in range(n_vec + len(form)):
-                if pos < n_vec:
-                    image = images.get(((vec[pos],), ()))
-                    prefix = Monomial(vec[:pos], ())
-                    suffix = Monomial(vec[pos + 1:], form)
-                else:
-                    r = pos - n_vec
-                    image = images.get(((), (form[r],)))
-                    prefix = Monomial(vec, form[:r])
-                    suffix = Monomial((), form[r + 1:])
+                r = pos - n_vec   # the form position, negative on a vector
+                image = images.get(((vec[pos],), ()) if r < 0 else ((), (form[r],)))
                 if image is None:
                     continue
-                head = -coeff if odd and pos % 2 else coeff
+                rest = (Monomial(vec[:pos] + vec[pos + 1:], form) if r < 0
+                        else Monomial(vec, form[:r] + form[r + 1:]))
+                head = -coeff if pos % 2 else coeff
                 for mono, value in image.items():
-                    left = monomial_wedge(prefix, mono)
-                    if left is None:
-                        continue
-                    right = monomial_wedge(left[1], suffix)
-                    if right is None:
-                        continue
-                    product = head * value
-                    add_into(terms, right[1], product if left[0] == right[0] else -product)
+                    hit = monomial_wedge(mono, rest)
+                    if hit is not None:
+                        product = head * value
+                        add_into(terms, hit[1], product if hit[0] > 0 else -product)
         return terms
 
     def dbar(self, element: GradedElement) -> GradedElement:
         """Graded Leibniz extension of the generator images; (p,q) -> (p,q+1)."""
-        return _element(self._derive(*self._derivation(None, None), element, {}))
+        return _element(self._derive(self._derivation(None, None), element.terms(), {}))
 
     def schouten(self, a: GradedElement, b: GradedElement) -> GradedElement:
         """Graded bracket; lowers total degree by 1."""
-        terms: Terms = {}
-        for parity in (0, 1):
-            part = GradedElement({m: c for m, c in a.terms() if m.degree % 2 == parity})
-            if part:
-                self._derive(*self._derivation(part, part.cache_key()), b, terms)
-        return _element(terms)
+        return _element(self._derive(self._derivation(a, a.cache_key()), b.terms(), {}))
 
     # -- Poisson validation --------------------------------------------------------
 
@@ -488,12 +476,12 @@ class ExteriorComplex:
         cached = self._images_memo.get(memo_key)
         if cached is not None:
             return cached
-        images, odd = self._derivation(element, key)
+        images = self._derivation(element, key)
         ranks = self._rank_table
         table = []
         for indices in ranks(degree):
             mono = Monomial(indices, ()) if side == "vec" else Monomial((), indices)
-            terms = self._derive(images, odd, GradedElement.monomial(mono), {}).items()
+            terms = self._derive(images, ((mono, ONE),), {}).items()
             if side == "vec":
                 table.append(tuple((f, ranks(len(v))[v], c, -c) for (v, f), c in terms))
             else:
@@ -536,7 +524,8 @@ class ExteriorComplex:
             forms = self._rank_table(q)
             vec_images = self._images(element, element_key, "vec", p)
             form_images = self._images(element, element_key, "form", q)
-            hop = bool(self._derivation(element, element_key)[1] and p % 2)
+            # D is odd when it adds an odd degree: dbar, and ad_E with |E| even
+            hop = bool(p % 2 and (sum(target) - p - q) % 2)
             # columns run in basis(p, q) order: P outer, Q inner; the row of
             # X_P' ^ wbar_Q' is vec_rank[P'] * stride + form_rank[Q']
             col = 0

@@ -112,6 +112,34 @@ def test_deform_reports_kernel(capsys):
     assert payload["dims"] == {"0": 1, "1": 4, "2": 9, "3": 12, "4": 9, "5": 4, "6": 1}
 
 
+def test_deform_at_cap_0_reports_the_k1_kernel(capsys):
+    argv = ("deform", "w4n6:0", "--poisson", "V^T2", "--omega", "rho_bar^w1_bar")
+    at_0, at_1 = (json.loads(run_cli(capsys, *argv, "--max-degree", cap, "--json")[1])
+                  for cap in ("0", "1"))
+    assert at_0["k1_kernel"] == at_1["k1_kernel"]
+    assert at_0["k1_kernel_dim"] == 4 and at_0["dims"] == {"0": 1}
+    code, out, _ = run_cli(capsys, *argv, "--max-degree", "0")
+    assert code == 0 and "kernel of delta on K^1 (dimension 4):" in out
+
+
+@pytest.mark.parametrize("target, poisson, kind", [
+    ("w4n6:0", "V^T1", "unsolvable"),
+    ("w4n6:0", "V^T2", "trivial_action"),
+    ("heisenberg-ext:1", "V^T1", "solvable"),
+])
+def test_analyze_at_cap_0_reports_the_checked_degeneracy(capsys, target, poisson, kind):
+    """At cap 0 the page has no d_1; the verdict is checked against the cap-1 page."""
+    argv = ("analyze", target, "--poisson", poisson)
+    at_0, at_1 = (json.loads(run_cli(capsys, *argv, "--max-degree", cap, "--json")[1])
+                  for cap in ("0", "1"))
+    degenerate = kind != "unsolvable"
+    assert at_0["obstruction"]["kind"] == at_1["obstruction"]["kind"] == kind
+    assert at_0["degeneracy"] is at_1["degeneracy"] is degenerate
+    code, out, _ = run_cli(capsys, *argv, "--max-degree", "0")
+    assert code == 0
+    assert f"first-page degeneracy: {degenerate}" in out and f"obstruction: {kind}" in out
+
+
 def test_deform_rejects_a_non_poisson_lambda(capsys):
     code, _, err = run_cli(capsys, "deform", "w4n6:0", "--poisson", "T1^T2",
                            "--omega", "rho_bar^w1_bar")
@@ -134,6 +162,7 @@ def test_deform_lets_internal_value_errors_escape(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("analyze", "w4n6:0", "--poisson", "V^T1"),
     ("obstruction", "w4n6:0", "--t", "T1"),
+    ("analyze", "w4n6:0", "--poisson", "V^T1", "--max-degree", "0"),
 ])
 def test_obstruction_disagreeing_with_the_first_page_exits_2(capsys, monkeypatch, argv):
     """Both commands run one obstruction-vs-d_1 check with one message."""
@@ -160,6 +189,7 @@ def test_obstruction_disagreeing_with_the_first_page_exits_2(capsys, monkeypatch
 @pytest.mark.parametrize("argv", [
     ("analyze", "w4n6:0", "--poisson", "V^T1"),
     ("obstruction", "w4n6:0", "--t", "T1"),
+    ("analyze", "w4n6:0", "--poisson", "V^T1", "--max-degree", "0"),
 ])
 def test_unsolvable_obstruction_with_zero_d1_at_01_exits_2(capsys, monkeypatch, argv):
     """An unsolvable verdict needs d_1^{0,1} != 0, not only a non-degenerate page."""
@@ -487,3 +517,24 @@ def test_deform_builds_only_the_k1_basis(capsys, monkeypatch):
                            "--omega", "rho_bar^w1_bar")
     assert code == 0 and "K^1" in out
     assert sorted(set(asked)) == [(0, 1), (1, 0)]
+
+
+def test_leibniz_expansion_makes_one_wedge_per_position_and_image_term(capsys, monkeypatch):
+    """Ceilings at one monomial_wedge per (position, image term); two per term make 1573 and 766."""
+    from nilpoisson import exterior
+
+    real = exterior.monomial_wedge
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(exterior, "monomial_wedge", counted)
+    for argv, ceiling in (
+            (("analyze", "w4n6:3", "--poisson", "V^T1", "--max-degree", "5", "--json"), 820),
+            (("deform", "w4n6:2", "--poisson", "V^T2", "--omega", "rho_bar^w1_bar", "--json"),
+             384)):
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert 0 < len(calls) <= ceiling, argv

@@ -535,12 +535,18 @@ def _assert_blocks_match_oracle(cx, elements):
                 block = cx.operator_block("ad", p, q, element)
                 assert block.target == (p + a - 1, q + b)
                 assert block.matrix == _oracle_block(cx, "ad", p, q, element), (element, p, q)
+    # the (-1)^pos term rule of _derive needs every generator image of a
+    # derivation of parity e to have degree e + 1 mod 2: degree 2 for dbar,
+    # |E| for [E, -]
+    for key, degree in [(None, 2)] + [(e.cache_key(), sum(e.bidegree())) for e in elements]:
+        for generator, image in cx._derivations[key].items():
+            assert {mono.degree for mono in image} == {degree}, (key, generator)
 
 
 def _bracket_elements(rng, cx):
-    """One random element each of bidegree (2,0), (0,2) and (1,1)."""
+    """One random element each of bidegree (2,0), (0,2), (1,1), (1,0), (0,1), (2,1) and (1,2)."""
     out = []
-    for p, q in ((2, 0), (0, 2), (1, 1)):
+    for p, q in ((2, 0), (0, 2), (1, 1), (1, 0), (0, 1), (2, 1), (1, 2)):
         element = _random_homogeneous(rng, cx, p, q, terms=3)
         if element:
             out.append(element)
