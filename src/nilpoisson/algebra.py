@@ -115,13 +115,8 @@ class AlgebraSpec:
             table.setdefault((k - 1, n + j - 1), {})[n + m - 1] = value.conjugate()
         object.__setattr__(self, "_brackets", table)
 
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraSpec):
-            return NotImplemented
-        return (self.name, self.n, self.labels, dict(self.constants)) == (
-            other.name, other.n, other.labels, dict(other.constants))
-
-    __hash__ = None  # mutable mapping member; identity is by content via __eq__
+    # the generated __eq__ compares the fields; the constants dict is unhashable
+    __hash__ = None
 
     # -- structure constants ----------------------------------------------
 

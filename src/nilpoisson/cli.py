@@ -50,8 +50,8 @@ def _resolve_algebra(target: str) -> AlgebraSpec:
             f"{target!r} is neither a catalog name ({', '.join(sorted(FAMILIES))}) "
             "nor an existing spec file")
     try:
-        return parse_spec(path.read_text())
-    except SpecFormatError as exc:
+        return parse_spec(path.read_text(encoding="utf-8"))
+    except (SpecFormatError, OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{target}: {exc}") from None
 
 
@@ -162,11 +162,7 @@ def _print_report(result: CohomologyReport) -> None:
 def _cmd_obstruction(args) -> int:
     spec, report, cx, context = _load(args.target)
     t = _parse_expression(args.t, context, "--t")
-    try:
-        result = obstruction(cx, t)
-    except (ObstructionInputError, AlgebraError) as exc:
-        raise InputError(str(exc)) from None
-
+    result = obstruction(cx, t)
     lam = wedge(GradedElement.vector(report.center_indices[0]), t)
     # an unsolvable verdict is checked against d_1^{0,1}, which a cap-1 page holds
     cap = 1 if result.kind == "unsolvable" else None
@@ -198,11 +194,7 @@ def _cmd_deform(args) -> int:
     spec, report, cx, context = _load(args.target)
     lam = _parse_expression(args.poisson, context, "--poisson")
     omega = _parse_expression(args.omega, context, "--omega")
-    try:
-        result = deformed_complex(cx, lam, omega, max_degree=args.max_degree)
-    except (PoissonError, DeformationError) as exc:
-        # ConsistencyError is a RuntimeError and propagates to exit code 2
-        raise InputError(str(exc)) from None
+    result = deformed_complex(cx, lam, omega, max_degree=args.max_degree)
     if args.json:
         _print_json({
             "algebra": spec.name,
@@ -291,7 +283,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except (InputError, SpecFormatError, CatalogError, AlgebraError, ExpressionError,
-            PoissonError, MalformedRational) as exc:
+            PoissonError, ObstructionInputError, DeformationError, MalformedRational) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConsistencyError as exc:

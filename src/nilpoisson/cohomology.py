@@ -92,11 +92,11 @@ def dolbeault_dims(cx: ExteriorComplex, max_total: Optional[int] = None) -> Dict
     cap = degree_cap(cx, max_total)
     out: Dict[Tuple[int, int], int] = {}
     for p in range(0, min(cx.n, cap) + 1):
+        previous_rank = 0   # rank of dbar into B^{p,q}, from B^{p,q-1}
         for q in range(0, min(cx.n, cap - p) + 1):
-            block = cx.operator_block("dbar", p, q)
-            incoming = cx.operator_block("dbar", p, q - 1) if q > 0 else None
-            dim_kernel = cx.block_dim(p, q) - block.rank()
-            out[(p, q)] = dim_kernel - (incoming.rank() if incoming else 0)
+            r = cx.operator_block("dbar", p, q).rank()
+            out[(p, q)] = cx.block_dim(p, q) - r - previous_rank
+            previous_rank = r
     return out
 
 
@@ -166,7 +166,7 @@ def _pivot_counts(cx: ExteriorComplex, lam: GradedElement,
     One banded sweep of :func:`~nilpoisson.sparse.band_pivot_counts` over
     :func:`total_operator`; see the module docstring for what the counts give.
     """
-    key = (lam.cache_key(), degree)
+    key = (lam, degree)
     counts = cx.pivot_counts.get(key)
     if counts is None:
         counts = band_pivot_counts(total_operator(cx, [lam], degree),

@@ -14,7 +14,14 @@ graded operators as exact sparse matrices per bidegree block:
   [X_i, wbar^m] = -sum_b conj(A^m_{ib}) wbar^b = -[wbar^m, X_i];
 * ``operator_block`` -- the matrix of dbar or ad_Lambda restricted to a
   bidegree block in the canonical monomial bases, memoized per
-  (kind, block, multivector).
+  (block, multivector).
+
+A multivector is its own memo key, None standing for dbar: generator
+images, image tables, blocks and the banded pivot counts of
+:mod:`nilpoisson.cohomology` are all keyed by the :class:`GradedElement`.
+Its hash runs over the canonical (monomial, coefficient triple) pairs,
+order-independently, so equal elements share every memo entry however
+they were built.
 
 Positions are arithmetic; no basis is materialised to find one.  The
 canonical basis of B^{p,q} runs over P in ``combinations(range(1, n+1), p)``
@@ -160,16 +167,19 @@ Terms = Dict[Monomial, GaussianRational]   # a linear combination, no zero coeff
 
 
 class GradedElement:
-    """A finite linear combination of canonical monomials, no zero terms."""
+    """A finite linear combination of canonical monomials, no zero terms.
+
+    Immutable by convention: an element is hashed and kept as a memo key.
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Optional[Terms] = None):
+    def __init__(self, terms: Optional[Dict[Monomial, Coefficient]] = None):
         data: Terms = {}
         if terms:
             for mono, coeff in terms.items():
                 if coeff:
-                    data[mono] = coeff
+                    data[mono] = _as_scalar(coeff)
         self._terms = data
 
     # -- constructors -----------------------------------------------------
@@ -251,10 +261,9 @@ class GradedElement:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def cache_key(self):
-        return tuple(sorted(((m, c.sort_key()) for m, c in self._terms.items())))
+        # order-independent over the canonical triples, which hash as plain
+        # int tuples (a real GaussianRational hashes through Fraction)
+        return hash(frozenset((m, c.triple) for m, c in self._terms.items()))
 
     def __repr__(self):
         if not self._terms:
@@ -317,7 +326,7 @@ class ExteriorComplex:
     """Operator assembly for one validated algebra.
 
     Values handed out are immutable; block matrices are memoized per
-    (kind, p, q, multivector), so Dolbeault tables, total cohomology and
+    (p, q, multivector), so Dolbeault tables, total cohomology and
     the obstruction checker share the same exact blocks.
     """
 
@@ -328,9 +337,10 @@ class ExteriorComplex:
         self.dim_l = 2 * spec.n
         self._bases: Dict[Tuple[int, int], Tuple[Monomial, ...]] = {}
         self._ranks: Dict[int, Dict[Tuple[int, ...], int]] = {}   # degree -> rank table
-        self._blocks: Dict[tuple, OperatorMatrix] = {}   # (kind, p, q[, key])
-        self._images_memo: dict = {}   # (key, side, degree) -> per-monomial image terms
-        self.pivot_counts: dict = {}   # (Lambda key, degree) -> banded pivot counts of T_degree
+        # every memo below is keyed by the multivector itself, None for dbar
+        self._blocks: Dict[tuple, OperatorMatrix] = {}   # (p, q, element)
+        self._images_memo: dict = {}   # (element, side, degree) -> per-monomial image terms
+        self.pivot_counts: dict = {}   # (Lambda, degree) -> banded pivot counts of T_degree
         # the generator tables, keyed by degree-1 monomials, each image a term
         # dict: dbar(X_j), and the row of nonzero brackets [g, h] of each
         # generator g, read as the images of ad_g
@@ -344,7 +354,7 @@ class ExteriorComplex:
             bracket = value.conjugate()
             add_into(self._bracket_rows.setdefault(x_k, {}).setdefault(w_m, {}), w_j, -bracket)
             add_into(self._bracket_rows.setdefault(w_m, {}).setdefault(x_k, {}), w_j, bracket)
-        # element cache_key (None for dbar) -> generator images
+        # element (None for dbar) -> generator images
         self._derivations: dict = {None: dbar_images}
 
     # -- canonical bases ---------------------------------------------------
@@ -392,21 +402,21 @@ class ExteriorComplex:
 
     # -- graded derivations ------------------------------------------------------
 
-    def _derivation(self, element: Optional[GradedElement], key) -> Dict[Monomial, Terms]:
+    def _derivation(self, element: Optional[GradedElement]) -> Dict[Monomial, Terms]:
         """Generator images of dbar (element None) or of [element, -].
 
         The images of [element, -] are [element, g] = -[g, element], each
         [g, element] the derivation ad_g applied to element.  Memoized per
-        ``key``, the element's ``cache_key()`` (None for dbar).
+        element: equal elements hash equal, however they were built.
         """
-        images = self._derivations.get(key)
+        images = self._derivations.get(element)
         if images is None:
             images = {}
             for generator, row in self._bracket_rows.items():
                 image = self._derive(row, element.terms(), {})
                 if image:
                     images[generator] = {m: -c for m, c in image.items()}
-            self._derivations[key] = images
+            self._derivations[element] = images
         return images
 
     @staticmethod
@@ -440,11 +450,11 @@ class ExteriorComplex:
 
     def dbar(self, element: GradedElement) -> GradedElement:
         """Graded Leibniz extension of the generator images; (p,q) -> (p,q+1)."""
-        return _element(self._derive(self._derivation(None, None), element.terms(), {}))
+        return _element(self._derive(self._derivation(None), element.terms(), {}))
 
     def schouten(self, a: GradedElement, b: GradedElement) -> GradedElement:
         """Graded bracket; lowers total degree by 1."""
-        return _element(self._derive(self._derivation(a, a.cache_key()), b.terms(), {}))
+        return _element(self._derive(self._derivation(a), b.terms(), {}))
 
     # -- Poisson validation --------------------------------------------------------
 
@@ -461,7 +471,7 @@ class ExteriorComplex:
 
     # -- block assembly ----------------------------------------------------------
 
-    def _images(self, element: Optional[GradedElement], key, side: str,
+    def _images(self, element: Optional[GradedElement], side: str,
                 degree: int) -> Tuple[Tuple[tuple, ...], ...]:
         """D(X_P) (side "vec") or D(wbar_Q) (side "form") for every P or Q of one degree.
 
@@ -470,13 +480,13 @@ class ExteriorComplex:
         image's terms as (part, rank, coeff, -coeff): ``part`` is the side a
         column merges with its own indices (the forms of D(X_P), the vectors
         of D(wbar_Q)) and ``rank`` the rank-table position of the other side.
-        Memoized per (key, side, degree), ``key`` as in :meth:`_derivation`.
+        Memoized per (element, side, degree).
         """
-        memo_key = (key, side, degree)
+        memo_key = (element, side, degree)
         cached = self._images_memo.get(memo_key)
         if cached is not None:
             return cached
-        images = self._derivation(element, key)
+        images = self._derivation(element)
         ranks = self._rank_table
         table = []
         for indices in ranks(degree):
@@ -497,9 +507,8 @@ class ExteriorComplex:
         multivector of bidegree (a, b) and targets (p+a-1, q+b).
         """
         if kind == "dbar":
-            element = element_key = None
+            element = None
             target = (p, q + 1)
-            key = ("dbar", p, q)
         elif kind == "ad":
             if element is None:
                 raise ValueError("kind 'ad' needs a multivector")
@@ -508,13 +517,13 @@ class ExteriorComplex:
                 target = (p, q)  # ad_0 = 0; degenerate zero block
             else:
                 target = (p + deg[0] - 1, q + deg[1])
-            element_key = element.cache_key()
-            key = ("ad", p, q, element_key)
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
 
-        if key in self._blocks:
-            return self._blocks[key]
+        key = (p, q, element)
+        block = self._blocks.get(key)
+        if block is not None:
+            return block
 
         n_cols = self.block_dim(p, q)
         entries: Dict[Tuple[int, int], GaussianRational] = {}
@@ -522,8 +531,8 @@ class ExteriorComplex:
             vec_rank, form_rank = self._rank_table(target[0]), self._rank_table(target[1])
             stride = len(form_rank)
             forms = self._rank_table(q)
-            vec_images = self._images(element, element_key, "vec", p)
-            form_images = self._images(element, element_key, "form", q)
+            vec_images = self._images(element, "vec", p)
+            form_images = self._images(element, "form", q)
             # D is odd when it adds an odd degree: dbar, and ad_E with |E| even
             hop = bool(p % 2 and (sum(target) - p - q) % 2)
             # columns run in basis(p, q) order: P outer, Q inner; the row of

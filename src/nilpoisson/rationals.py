@@ -175,16 +175,6 @@ class GaussianRational:
             return hash(Fraction(self._a, self._d))
         return hash((self._a, self._b, self._d))
 
-    def sort_key(self):
-        """Deterministic total order, used only for canonical serialization.
-
-        The key is (re numerator, re denominator, im numerator, im
-        denominator) with each part in lowest terms.
-        """
-        a, b, d = self._a, self._b, self._d
-        g, h = gcd(a, d), gcd(b, d)
-        return (a // g, d // g, b // h, d // h)
-
     def __str__(self):
         re, im = self.re, self.im
         if not im:

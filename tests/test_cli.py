@@ -424,6 +424,21 @@ def test_bad_spec_file_location_in_error(capsys, tmp_path):
     assert "line" in err
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda path: None, "is neither a catalog name"),
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b"\xff{}"), "can't decode byte 0xff"),
+], ids=["missing", "directory", "not-utf-8"])
+def test_unreadable_spec_path_exits_1(capsys, tmp_path, make, message):
+    """A missing path, a directory or a non-UTF-8 file is an input error naming the path."""
+    path = tmp_path / "spec.json"
+    make(path)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(path) in err and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_non_integer_constant_index_exits_1(capsys, tmp_path):
     bad = tmp_path / "float-index.json"
     bad.write_text(json.dumps({"name": "x", "n": 2, "labels": ["A", "B"], "constants": [

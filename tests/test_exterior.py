@@ -538,9 +538,9 @@ def _assert_blocks_match_oracle(cx, elements):
     # the (-1)^pos term rule of _derive needs every generator image of a
     # derivation of parity e to have degree e + 1 mod 2: degree 2 for dbar,
     # |E| for [E, -]
-    for key, degree in [(None, 2)] + [(e.cache_key(), sum(e.bidegree())) for e in elements]:
-        for generator, image in cx._derivations[key].items():
-            assert {mono.degree for mono in image} == {degree}, (key, generator)
+    for element, degree in [(None, 2)] + [(e, sum(e.bidegree())) for e in elements]:
+        for generator, image in cx._derivations[element].items():
+            assert {mono.degree for mono in image} == {degree}, (element, generator)
 
 
 def _bracket_elements(rng, cx):
