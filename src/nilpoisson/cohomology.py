@@ -15,6 +15,10 @@ Everything here reduces to exact ranks of the memoized operator blocks:
 * the deformed differential delta = dbar_Lambda + [Omega_bar, -] for an
   integrable (0,2) deformation class.
 
+Every dimension table -- the Dolbeault rows, H^n_Lambda, the deformed H^n
+and E_2 -- is the homology of a complex with known ranks, read by one
+rule, ``_homology``: dim = size - rank out - rank in.
+
 One elimination of T_n per degree serves H^n, every d_1 block and every
 dbar block of that degree.  Call the source block p of a column and the
 target block p of a row its band.  T_n's columns run in descending band;
@@ -87,17 +91,23 @@ def degree_cap(cx: ExteriorComplex, max_degree: Optional[int]) -> int:
 # -- Dolbeault table ---------------------------------------------------------
 
 
+def _homology(sizes: Dict, ranks: Dict, source) -> Dict:
+    """size - rank out - rank in for every term c of ``sizes``, in its order.
+
+    ``ranks[c]`` is the rank of the map leaving c and ``ranks[source(c)]``,
+    ``source`` a function of the term, that of the map into c; a missing
+    rank counts as 0.
+    """
+    return {c: size - ranks.get(c, 0) - ranks.get(source(c), 0) for c, size in sizes.items()}
+
+
 def dolbeault_dims(cx: ExteriorComplex, max_total: Optional[int] = None) -> Dict[Tuple[int, int], int]:
     """dim H^q(g^{p,0}) for every block with p + q <= max_total."""
     cap = degree_cap(cx, max_total)
-    out: Dict[Tuple[int, int], int] = {}
-    for p in range(0, min(cx.n, cap) + 1):
-        previous_rank = 0   # rank of dbar into B^{p,q}, from B^{p,q-1}
-        for q in range(0, min(cx.n, cap - p) + 1):
-            r = cx.operator_block("dbar", p, q).rank()
-            out[(p, q)] = cx.block_dim(p, q) - r - previous_rank
-            previous_rank = r
-    return out
+    sizes = {(p, q): cx.block_dim(p, q) for p in range(min(cx.n, cap) + 1)
+             for q in range(min(cx.n, cap - p) + 1)}
+    ranks = {block: cx.operator_block("dbar", *block).rank() for block in sizes}
+    return _homology(sizes, ranks, lambda block: (block[0], block[1] - 1))
 
 
 # -- total complex ------------------------------------------------------------
@@ -185,13 +195,8 @@ def total_cohomology(cx: ExteriorComplex, lam: GradedElement,
                      max_degree: Optional[int] = None) -> Dict[int, int]:
     """dim H^n of dbar_Lambda for n = 0..max_degree, by exact rank."""
     cap = degree_cap(cx, max_degree)
-    dims: Dict[int, int] = {}
-    previous_rank = 0
-    for n in range(cap + 1):
-        r = sum(_pivot_counts(cx, lam, n).values())
-        dims[n] = cx.k_dim(n) - r - previous_rank
-        previous_rank = r
-    return dims
+    ranks = {n: sum(_pivot_counts(cx, lam, n).values()) for n in range(cap + 1)}
+    return _homology({n: cx.k_dim(n) for n in ranks}, ranks, lambda n: n - 1)
 
 
 # -- spectral sequence: first and second pages ---------------------------------
@@ -233,11 +238,7 @@ def first_page(cx: ExteriorComplex, lam: GradedElement,
 
 def second_page(page: FirstPage) -> Dict[Tuple[int, int], int]:
     """E_2^{p,q} = ker d_1^{p,q} / im d_1^{p-1,q}, dimensions only."""
-    out = {}
-    for (p, q), dim in page.e1.items():
-        out[(p, q)] = (dim - page.d1_ranks.get((p, q), 0)
-                       - page.d1_ranks.get((p - 1, q), 0))
-    return out
+    return _homology(page.e1, page.d1_ranks, lambda block: (block[0] - 1, block[1]))
 
 
 # -- obstruction solver ---------------------------------------------------------
@@ -293,7 +294,7 @@ def obstruction(cx: ExteriorComplex, t: GradedElement) -> ObstructionResult:
     if report.step < 2:
         raise ObstructionInputError("abelian algebra has no t_{k-1} layer")
 
-    if t and not t.is_homogeneous(1, 0):
+    if t.bidegrees() - {(1, 0)}:
         raise ObstructionInputError("T must be a (1,0) vector")
     if not _in_top_layer(report, t):
         raise ObstructionInputError(
@@ -423,11 +424,11 @@ def deformed_complex(cx: ExteriorComplex, lam: GradedElement, omega_bar: GradedE
     and [Omega_bar, Omega_bar] = 0.  delta^2 = 0 is verified on every
     pair of assembled operators T_n, T_{n+1} before any dimension is
     reported; T_1 is assembled at every cap, cap 0 included, for the
-    kernel on K^1.  Lambda is checked first with
-    :meth:`ExteriorComplex.validate_poisson`.
+    kernel on K^1, and eliminated once: its rank is cols - dim ker.
+    Lambda is checked first with :meth:`ExteriorComplex.validate_poisson`.
     """
     cx.validate_poisson(lam)
-    if omega_bar and not omega_bar.is_homogeneous(0, 2):
+    if omega_bar.bidegrees() - {(0, 2)}:
         raise NotBidegree02(
             f"expected a (0,2) class, got bidegrees {sorted(omega_bar.bidegrees())}")
     closure = cx.dbar(omega_bar) + cx.schouten(lam, omega_bar)
@@ -445,16 +446,14 @@ def deformed_complex(cx: ExteriorComplex, lam: GradedElement, omega_bar: GradedE
                 f"{cx.spec.name}, Lambda = {_render(cx, lam)}, Omega_bar = "
                 f"{_render(cx, omega_bar)}: delta^2 != 0 between K^{n} and K^{n + 2}")
 
-    dims: Dict[int, int] = {}
-    previous_rank = 0
-    for n in range(cap + 1):
-        r = rank(operators[n])
-        dims[n] = cx.k_dim(n) - r - previous_rank
-        previous_rank = r
+    kernel = kernel_vectors(operators[1])
+    ranks = {n: operators[1].cols - len(kernel) if n == 1 else rank(operators[n])
+             for n in range(cap + 1)}
+    dims = _homology({n: cx.k_dim(n) for n in ranks}, ranks, lambda n: n - 1)
 
     flat_basis = [mono for block in _degree_blocks(cx, 1) for mono in cx.basis(*block)]
     kernel_elements = tuple(GradedElement({flat_basis[i]: v for i, v in vec.items()})
-                            for vec in kernel_vectors(operators[1]))
+                            for vec in kernel)
     return DeformationReport(dims=dims, k1_kernel=kernel_elements)
 
 

@@ -33,7 +33,7 @@ class ExpressionError(ValueError):
 
 
 _TOKEN_RE = re.compile(r"""
-    (?P<number>\d+(?:/\d+)?)
+    (?P<number>[0-9]+(?:/[0-9]+)?)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>[-+^()−])
   | (?P<space>\s+)

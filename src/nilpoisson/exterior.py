@@ -32,7 +32,7 @@ combinatorial number system; Knuth, TAOCP Vol. 4A, 7.2.1.3).  Each rank_k
 is a dict of C(n, k) entries, built on first use of degree k and kept;
 block dimensions are the binomial products C(n,p) C(n,q), so sizing a
 degree never builds a table.  :meth:`ExteriorComplex.basis` still lists the
-monomials of a block, lazily, for callers that need them as objects;
+monomials of a block, unmemoized, for callers that need them as objects;
 assembly never calls it.
 
 Both operators are graded derivations, fixed by their values on the 2n
@@ -207,24 +207,6 @@ class GradedElement:
     def bidegrees(self) -> set:
         return {mono.bidegree for mono in self._terms}
 
-    def bidegree(self) -> Optional[Tuple[int, int]]:
-        """The unique bidegree, None for zero; raises if mixed."""
-        degs = self.bidegrees()
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"element is not homogeneous: bidegrees {sorted(degs)}")
-        return next(iter(degs))
-
-    def is_homogeneous(self, p: Optional[int] = None, q: Optional[int] = None) -> bool:
-        degs = self.bidegrees()
-        if len(degs) > 1:
-            return False
-        if not degs:
-            return True
-        (dp, dq), = degs
-        return (p is None or dp == p) and (q is None or dq == q)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -335,7 +317,6 @@ class ExteriorComplex:
         self.report = report if report is not None else validate(spec)
         self.n = spec.n
         self.dim_l = 2 * spec.n
-        self._bases: Dict[Tuple[int, int], Tuple[Monomial, ...]] = {}
         self._ranks: Dict[int, Dict[Tuple[int, ...], int]] = {}   # degree -> rank table
         # every memo below is keyed by the multivector itself, None for dbar
         self._blocks: Dict[tuple, OperatorMatrix] = {}   # (p, q, element)
@@ -372,13 +353,9 @@ class ExteriorComplex:
         return table
 
     def basis(self, p: int, q: int) -> Tuple[Monomial, ...]:
-        """Canonical monomial basis of B^{p,q} (empty outside 0..n), built on first use."""
-        key = (p, q)
-        if key not in self._bases:
-            forms = self._rank_table(q)
-            self._bases[key] = tuple(Monomial(vec, form)
-                                     for vec in self._rank_table(p) for form in forms)
-        return self._bases[key]
+        """Canonical monomial basis of B^{p,q} (empty outside 0..n), built on each call."""
+        forms = self._rank_table(q)
+        return tuple(Monomial(vec, form) for vec in self._rank_table(p) for form in forms)
 
     def basis_index(self, mono: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> int:
         """Position of X_P ^ wbar_Q in ``basis(|P|, |Q|)``: rank_p[P] * C(n,q) + rank_q[Q]."""
@@ -460,7 +437,7 @@ class ExteriorComplex:
 
     def validate_poisson(self, lam: GradedElement) -> None:
         """Check lam is a holomorphic Poisson bivector; raise otherwise."""
-        if lam and not lam.is_homogeneous(2, 0):
+        if lam.bidegrees() - {(2, 0)}:
             raise NotBidegree(f"expected a (2,0) bivector, got bidegrees {sorted(lam.bidegrees())}")
         image = self.dbar(lam)
         if image:
@@ -512,11 +489,12 @@ class ExteriorComplex:
         elif kind == "ad":
             if element is None:
                 raise ValueError("kind 'ad' needs a multivector")
-            deg = element.bidegree()
-            if deg is None:
-                target = (p, q)  # ad_0 = 0; degenerate zero block
-            else:
-                target = (p + deg[0] - 1, q + deg[1])
+            # ad_0 = 0 gets the zero block B^{p,q} -> B^{p,q}, as if of bidegree (1,0)
+            degs = element.bidegrees() or {(1, 0)}
+            if len(degs) > 1:
+                raise ValueError(f"element is not homogeneous: bidegrees {sorted(degs)}")
+            (a, b), = degs
+            target = (p + a - 1, q + b)
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
 

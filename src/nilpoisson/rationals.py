@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple, Union
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 Rationalish = Union[int, Fraction]
 

@@ -198,6 +198,17 @@ def test_parse_rejects_a_rational_that_is_not_a_string(part, value, shown):
         f"constants[0]: '{part}' must be a 'p' or 'p/q' string, got {shown}")
 
 
+@pytest.mark.parametrize("value", ["٣", "３", "1/٤"], ids=ascii)
+def test_parse_rejects_a_rational_with_non_ascii_digits(value):
+    """Digits are 0-9 only; int() would read Arabic-Indic or fullwidth digits too."""
+    item = {"k": 1, "j": 1, "m": 2, "re": value, "im": "0"}
+    text = json.dumps({"name": "x", "n": 2, "labels": ["A", "B"], "constants": [item]},
+                      ensure_ascii=False)
+    with pytest.raises(SpecFormatError) as info:
+        parse_spec(text)
+    assert str(info.value) == f"constants[0]: not a rational 'p' or 'p/q' string: {value!r}"
+
+
 def test_parse_defaults_a_missing_rational_part_to_zero():
     spec = parse_spec('{"name": "x", "n": 2, "labels": ["A", "B"], '
                       '"constants": [{"k": 1, "j": 1, "m": 2, "im": "1/2"}]}')

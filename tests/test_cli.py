@@ -476,6 +476,25 @@ def test_spec_values_that_are_not_strings_exit_1(capsys, tmp_path, field, shown)
                        f"string, got {shown}\n")
 
 
+@pytest.mark.parametrize("value", ["٣", "３", "1/٤"], ids=ascii)
+def test_spec_rational_with_non_ascii_digits_exits_1(capsys, tmp_path, value):
+    item = {"k": 1, "j": 2, "m": 3, "re": value, "im": "0"}
+    bad = tmp_path / "digits.json"
+    bad.write_text(json.dumps({"name": "x", "n": 3, "labels": ["A", "B", "C"],
+                               "constants": [item]}, ensure_ascii=False), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {bad}: constants[0]: not a rational 'p' or 'p/q' string: {value!r}\n"
+
+
+def test_poisson_coefficient_with_non_ascii_digits_exits_1(capsys):
+    code, out, err = run_cli(capsys, "analyze", "w4n6:0", "--poisson", "٢V^T1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "unexpected character '٢'" in err
+
+
 def test_non_poisson_input_is_rejected(capsys):
     code, _, err = run_cli(capsys, "analyze", "three-step:1")
     assert code == 1

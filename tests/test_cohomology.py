@@ -663,6 +663,38 @@ def test_deformation_kernel_scales_with_the_family():
     assert result.k1_kernel_dim == 6          # 2n + 4 at n = 1
 
 
+@pytest.mark.parametrize("cap", [1, 3, 6])
+def test_deformation_eliminates_t1_once(monkeypatch, w6_complex, cap):
+    """One kernel sweep of T_1 gives the K^1 kernel and rank T_1; ``rank`` never sees T_1.
+
+    The dimensions and the kernel equal those of ranking every T_n and
+    eliminating T_1 a second time for its kernel.
+    """
+    import nilpoisson.cohomology as cohomology
+
+    cx = w6_complex
+    lam, omega = wedge(V(3), V(2)), wedge(F(3), F(1))   # V ^ T2, rho_bar ^ wbar^1
+    operators = [cohomology.total_operator(cx, [lam, omega], n) for n in range(cap + 1)]
+    ranks = [rank(matrix) for matrix in operators]
+    dims = {n: cx.k_dim(n) - ranks[n] - (ranks[n - 1] if n else 0) for n in range(cap + 1)}
+    flat_basis = [mono for p in (1, 0) for mono in cx.basis(p, 1 - p)]
+    kernel = [GradedElement({flat_basis[i]: v for i, v in vec.items()})
+              for vec in kernel_vectors(operators[1])]
+
+    shapes = []
+
+    def recording_rank(matrix):
+        shapes.append((matrix.rows, matrix.cols))
+        return rank(matrix)
+
+    monkeypatch.setattr(cohomology, "rank", recording_rank)
+    result = deformed_complex(cx, lam, omega, max_degree=cap)
+    assert len(shapes) == cap
+    assert (comb(2 * cx.n, 2), 2 * cx.n) not in shapes
+    assert result.dims == dims
+    assert list(result.k1_kernel) == kernel
+
+
 def test_deformation_rejects_non_integrable(w6_complex):
     # with Lambda = V ^ T1 the class rho_bar ^ wbar^1 is no longer
     # dbar_Lambda-closed: ad_Lambda(rho_bar) ^ wbar^1 != 0

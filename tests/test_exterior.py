@@ -531,14 +531,14 @@ def _assert_blocks_match_oracle(cx, elements):
             assert block.source == (p, q) and block.target == (p, q + 1)
             assert block.matrix == _oracle_block(cx, "dbar", p, q), ("dbar", p, q)
             for element in elements:
-                a, b = element.bidegree()
+                (a, b), = element.bidegrees()
                 block = cx.operator_block("ad", p, q, element)
                 assert block.target == (p + a - 1, q + b)
                 assert block.matrix == _oracle_block(cx, "ad", p, q, element), (element, p, q)
     # the (-1)^pos term rule of _derive needs every generator image of a
     # derivation of parity e to have degree e + 1 mod 2: degree 2 for dbar,
     # |E| for [E, -]
-    for element, degree in [(None, 2)] + [(e, sum(e.bidegree())) for e in elements]:
+    for element, degree in [(None, 2)] + [(e, sum(*e.bidegrees())) for e in elements]:
         for generator, image in cx._derivations[element].items():
             assert {mono.degree for mono in image} == {degree}, (element, generator)
 
