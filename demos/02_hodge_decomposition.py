@@ -22,7 +22,7 @@ from nilpoisson.catalog import w_family
 def describe(cx, t_index, label):
     v = cx.n
     lam = wedge(GradedElement.vector(v), GradedElement.vector(t_index))
-    report = analyze(cx, lam, poisson_text=f"V^{label}")
+    report = analyze(cx, lam)
     print(f"Lambda = V ^ {label}")
     print(f"  first-page degeneracy : {report.degeneracy}")
     print(f"  obstruction           : {report.obstruction_kind}")

@@ -44,7 +44,7 @@ if __name__ == "__main__":
         print(f"X1 ^ X4 rejected: {exc}")
 
     lam = wedge(GradedElement.vector(3), GradedElement.vector(4))
-    result = analyze(cx, lam, max_degree=4, poisson_text="X3^X4")
+    result = analyze(cx, lam, max_degree=4)
     print(f"X3 ^ X4: degenerate = {result.degeneracy}, hodge = {result.hodge}")
     for row in result.per_degree:
         print(f"  n={row.degree}: dim H^n = {row.h_lambda} vs {row.hpq_sum}")

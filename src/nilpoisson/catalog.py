@@ -126,7 +126,11 @@ def parse_catalog_name(name: str) -> AlgebraSpec:
     if not _PARAMETERS_RE.fullmatch(params):
         raise CatalogError(
             f"catalog name {name!r} needs integer parameters separated by single commas")
-    return build_catalog_entry(family.strip(), [int(piece) for piece in params.split(",")])
+    try:
+        parameters = [int(parse_rational(piece)) for piece in params.split(",")]
+    except MalformedRational as exc:   # only a number too long for int() is left
+        raise CatalogError(f"catalog name {family.strip()!r}: {exc}") from None
+    return build_catalog_entry(family.strip(), parameters)
 
 
 def catalog_names() -> List[str]:

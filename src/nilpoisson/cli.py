@@ -108,13 +108,10 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_analyze(args) -> int:
     _, _, cx, context = _load(args.target)
-    lam = GradedElement()
-    poisson_text = None
-    if args.poisson:
-        lam = _parse_expression(args.poisson, context, "--poisson")
-        poisson_text = format_multivector(lam, context)
+    lam = (None if args.poisson is None
+           else _parse_expression(args.poisson, context, "--poisson"))
     try:
-        result = analyze(cx, lam, max_degree=args.max_degree, poisson_text=poisson_text)
+        result = analyze(cx, lam, max_degree=args.max_degree)
     except PoissonError as exc:
         raise InputError(f"--poisson {args.poisson!r}: {exc}") from None
     if args.json:
@@ -226,14 +223,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type of --max-degree: a negative cap is an input error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
+    """argparse type of --max-degree: the ASCII digits 0-9 only, like every other number."""
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+    return int(text)
 
 
 @functools.cache

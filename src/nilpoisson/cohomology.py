@@ -61,7 +61,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import CenterDimensionError, StructureReport
 from .expressions import ExpressionContext, format_multivector
 from .exterior import ExteriorComplex, GradedElement, Monomial, wedge
-from .rationals import ZERO, GaussianRational, add_into
+from .rationals import ZERO, GaussianRational
 from .sparse import (SparseMatrix, band_pivot_counts, independent_indices, kernel_vectors,
                      rank, solve)
 
@@ -519,22 +519,17 @@ def _detect_center_wedge(cx: ExteriorComplex, lam: GradedElement) -> Optional[Gr
     """Decompose lam as V ^ T for the coordinate one-dimensional center.
 
     Returns T, or None when lam is not of that shape (or the hypotheses on
-    the center fail).
+    the center fail).  T is one contraction of lam: V's index is dropped
+    from every term, negated when V is the second factor (X_a ^ V =
+    -(V ^ X_a)); the wedge check V ^ T == lam rejects every other shape.
     """
     report = cx.report
     if not lam or report.dim_center != 1 or report.center_indices is None:
         return None
-    v_index = report.center_indices[0]
-    terms = {}
-    for mono, coeff in lam.terms():
-        if v_index not in mono.vec:
-            return None
-        if mono.vec[0] == v_index:      # V ^ X_a is canonical when v < a
-            add_into(terms, Monomial((mono.vec[1],), ()), coeff)
-        else:                           # X_a ^ V = -(V ^ X_a)
-            add_into(terms, Monomial((mono.vec[0],), ()), -coeff)
-    t = GradedElement(terms)
-    if wedge(GradedElement.vector(v_index), t) != lam:
+    v = report.center_indices[0]
+    t = GradedElement({Monomial(tuple(i for i in mono.vec if i != v), mono.form):
+                       -coeff if mono.vec[1:2] == (v,) else coeff for mono, coeff in lam.terms()})
+    if wedge(GradedElement.vector(v), t) != lam:
         return None
     if report.step < 2 or not _in_top_layer(report, t):
         return None
@@ -563,9 +558,14 @@ def _check_serre_symmetry(cx: ExteriorComplex, hpq: Dict[Tuple[int, int], int]) 
 
 
 def analyze(cx: ExteriorComplex, lam: Optional[GradedElement] = None,
-            max_degree: Optional[int] = None,
-            poisson_text: Optional[str] = None) -> CohomologyReport:
-    """Full report: tables, verdicts, and theorem consistency checks."""
+            max_degree: Optional[int] = None) -> CohomologyReport:
+    """Full report: tables, verdicts, and theorem consistency checks.
+
+    lam None analyzes Lambda = 0 and reports ``poisson`` None; a given lam
+    (zero included) is reported as the CLI renders it.  When lam is V ^ T
+    with T in the top layer, the degeneracy obstruction runs on T as well.
+    """
+    poisson = None if lam is None else _render(cx, lam)
     lam = lam if lam is not None else GradedElement()
     cx.validate_poisson(lam)
     cap = degree_cap(cx, max_degree)
@@ -609,7 +609,7 @@ def analyze(cx: ExteriorComplex, lam: Optional[GradedElement] = None,
         step=cx.report.step,
         dim_center=cx.report.dim_center,
         max_degree=cap,
-        poisson=poisson_text,
+        poisson=poisson,
         hpq=hpq,
         hn_lambda=hn,
         e1_d1_ranks=page.d1_ranks,

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraSpec, StructureReport, validate
 from .exterior import GradedElement, wedge
-from .rationals import GaussianRational, format_rational
+from .rationals import GaussianRational, MalformedRational, format_rational, parse_rational
 
 
 class ExpressionError(ValueError):
@@ -190,9 +190,9 @@ class _Parser:
     @staticmethod
     def _fraction(token) -> Fraction:
         try:
-            return Fraction(token[1])
-        except ZeroDivisionError:
-            raise ExpressionError(f"zero denominator in {token[1]!r}", token[2]) from None
+            return parse_rational(token[1])
+        except MalformedRational as exc:
+            raise ExpressionError(str(exc), token[2]) from None
 
 
 def parse_multivector(text: str, context: ExpressionContext) -> GradedElement:

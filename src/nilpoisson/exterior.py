@@ -13,11 +13,13 @@ graded operators as exact sparse matrices per bidegree block:
   [X_i, X_j] = 0, [wbar^i, wbar^j] = 0 and
   [X_i, wbar^m] = -sum_b conj(A^m_{ib}) wbar^b = -[wbar^m, X_i];
 * ``operator_block`` -- the matrix of dbar or ad_Lambda restricted to a
-  bidegree block in the canonical monomial bases, memoized per
-  (block, multivector).
+  bidegree block in the canonical monomial bases.  dbar blocks are
+  memoized per bidegree, since the Dolbeault table, the total complex and
+  the obstruction read them again; an ad block is read once, so it is
+  built and not kept.
 
 A multivector is its own memo key, None standing for dbar: generator
-images, image tables, blocks and the banded pivot counts of
+images, image tables and the banded pivot counts of
 :mod:`nilpoisson.cohomology` are all keyed by the :class:`GradedElement`.
 Its hash runs over the canonical (monomial, coefficient triple) pairs,
 order-independently, so equal elements share every memo entry however
@@ -307,9 +309,10 @@ class OperatorMatrix:
 class ExteriorComplex:
     """Operator assembly for one validated algebra.
 
-    Values handed out are immutable; block matrices are memoized per
-    (p, q, multivector), so Dolbeault tables, total cohomology and
-    the obstruction checker share the same exact blocks.
+    Values handed out are immutable; dbar blocks are memoized per (p, q),
+    so Dolbeault tables, total cohomology and the obstruction checker
+    share the same exact blocks.  ad blocks are rebuilt on request (from
+    memoized images); no computation asks for one twice.
     """
 
     def __init__(self, spec: AlgebraSpec, report: Optional[StructureReport] = None):
@@ -318,8 +321,8 @@ class ExteriorComplex:
         self.n = spec.n
         self.dim_l = 2 * spec.n
         self._ranks: Dict[int, Dict[Tuple[int, ...], int]] = {}   # degree -> rank table
+        self._blocks: Dict[Tuple[int, int], OperatorMatrix] = {}   # (p, q) -> dbar block
         # every memo below is keyed by the multivector itself, None for dbar
-        self._blocks: Dict[tuple, OperatorMatrix] = {}   # (p, q, element)
         self._images_memo: dict = {}   # (element, side, degree) -> per-monomial image terms
         self.pivot_counts: dict = {}   # (Lambda, degree) -> banded pivot counts of T_degree
         # the generator tables, keyed by degree-1 monomials, each image a term
@@ -498,10 +501,8 @@ class ExteriorComplex:
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
 
-        key = (p, q, element)
-        block = self._blocks.get(key)
-        if block is not None:
-            return block
+        if element is None and (p, q) in self._blocks:
+            return self._blocks[(p, q)]
 
         n_cols = self.block_dim(p, q)
         entries: Dict[Tuple[int, int], GaussianRational] = {}
@@ -537,5 +538,6 @@ class ExteriorComplex:
         block = OperatorMatrix(
             source=(p, q), target=target,
             matrix=SparseMatrix._trusted(self.block_dim(*target), n_cols, entries))
-        self._blocks[key] = block
+        if element is None:   # ad blocks are never read twice, so only dbar blocks are kept
+            self._blocks[(p, q)] = block
         return block

@@ -20,6 +20,7 @@ with :func:`add_into`, the one place that drops a coefficient summing to zero.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple, Union
@@ -36,18 +37,20 @@ class MalformedRational(ValueError):
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` into an exact Fraction.
 
-    Anything else (decimals, empty strings, zero denominators) raises
+    Anything else (decimals, empty strings, zero denominators, more digits
+    than ``int`` reads, see :func:`sys.get_int_max_str_digits`) raises
     :class:`MalformedRational`.
     """
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise MalformedRational(f"not a rational 'p' or 'p/q' string: {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise MalformedRational(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, _, den = s.partition("/")
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
+        raise MalformedRational(f"zero denominator: {text!r}") from None
+    except ValueError:   # int() reads at most sys.get_int_max_str_digits() digits
+        raise MalformedRational(f"a number has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def format_rational(value: Fraction) -> str:

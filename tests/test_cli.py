@@ -82,6 +82,14 @@ def test_analyze_without_poisson(capsys):
     assert payload["degeneracy"] is True and payload["hodge"] is True
 
 
+def test_analyze_with_an_empty_poisson_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "analyze", "w4n6:0", "--poisson", "")
+    assert (code, out) == (1, "")
+    assert err == "error: in --poisson expression '': empty expression (at character 1)\n"
+    deform = run_cli(capsys, "deform", "w4n6:0", "--poisson", "", "--omega", "rho_bar^w1_bar")
+    assert deform == (code, out, err)
+
+
 def test_obstruction_unsolvable_message(capsys):
     code, out, _ = run_cli(capsys, "obstruction", "w4n6:0", "--t", "T1")
     assert code == 0
@@ -345,10 +353,12 @@ def test_deformed_differential_squaring_to_nonzero_exits_2(capsys, monkeypatch):
     (("deform", "w4n6:0", "--poisson", "V^T2", "--omega", "rho_bar^w1_bar", "--json"), "dims"),
 ])
 def test_negative_max_degree_is_an_input_error(capsys, argv, degrees_key):
-    code, out, err = run_cli(capsys, *argv, "--max-degree", "-1")
-    assert code == 1
-    assert out == ""
-    assert "--max-degree" in err and "non-negative" in err
+    # the digits 0-9 only, as in every other number: int() would read the last five
+    for value in ("-1", "٣", "３", "1_0", "+2", " 2"):
+        code, out, err = run_cli(capsys, *argv, "--max-degree", value)
+        assert code == 1, value
+        assert out == ""
+        assert "--max-degree" in err and "non-negative" in err
     code, out, _ = run_cli(capsys, *argv, "--max-degree", "0")
     assert code == 0
     assert list(json.loads(out)[degrees_key]) == ["0"]
@@ -493,6 +503,31 @@ def test_poisson_coefficient_with_non_ascii_digits_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "unexpected character '٢'" in err
+
+
+def test_numbers_longer_than_int_reads_exit_1(capsys, tmp_path):
+    """A spec rational, a coefficient and a catalog parameter with more
+    digits than int() reads from a string each give one error line."""
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 1)
+    message = f"a number has more than {limit} digits"
+    spec = tmp_path / "long.json"
+    spec.write_text(json.dumps({"name": "x", "n": 3, "labels": ["A", "B", "C"], "constants": [
+        {"k": 1, "j": 2, "m": 3, "re": long, "im": "0"}]}))
+    for argv, err_line in [
+        (("validate", str(spec)), f"error: {spec}: constants[0]: {message}"),
+        (("validate", f"w4n6:{long}"), f"error: catalog name 'w4n6': {message}"),
+        (("analyze", "w4n6:0", "--poisson", f"(1/{long})V^T1"),
+         f"error: in --poisson expression '(1/{long})V^T1': {message} (at character 2)"),
+    ]:
+        assert run_cli(capsys, *argv) == (1, "", err_line + "\n")
+
+
+def test_zero_denominator_in_a_coefficient_exits_1(capsys):
+    code, out, err = run_cli(capsys, "analyze", "w4n6:0", "--poisson", "(1/0)V^T1")
+    assert (code, out) == (1, "")
+    assert err == ("error: in --poisson expression '(1/0)V^T1': "
+                   "zero denominator: '1/0' (at character 2)\n")
 
 
 def test_non_poisson_input_is_rejected(capsys):

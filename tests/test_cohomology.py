@@ -398,13 +398,13 @@ def test_double_heisenberg_hodge():
 
 
 def test_analyze_report_w6(w6_complex):
-    report = analyze(w6_complex, wedge(V(3), V(2)), poisson_text="V^T2")
+    report = analyze(w6_complex, wedge(V(3), V(2)))
     assert report.hn_lambda[1] == 5
     assert report.hodge and report.degeneracy
     assert report.obstruction_kind == "trivial_action"
     assert report.step == 2 and report.dim_center == 1
 
-    report = analyze(w6_complex, wedge(V(3), V(1)), poisson_text="V^T1")
+    report = analyze(w6_complex, wedge(V(3), V(1)))
     assert report.hn_lambda[1] == 4
     assert not report.hodge and not report.degeneracy
     assert report.obstruction_kind == "unsolvable"
@@ -418,11 +418,53 @@ def test_analyze_solvable_reports_solution(heis1_complex):
 
 
 def test_analyze_json_keys_are_stable(w6_complex):
-    report = analyze(w6_complex, wedge(V(3), V(2)), poisson_text="V^T2")
+    report = analyze(w6_complex, wedge(V(3), V(2)))
     payload = report.to_json_dict()
     assert payload["hn_lambda"]["1"] == 5
     assert payload["hpq"]["1,0"] == 2
     assert payload["obstruction"]["kind"] == "trivial_action"
+
+
+def test_analyze_names_the_lambda_it_is_given():
+    """The report's poisson is Lambda as the CLI renders it; None without a Lambda."""
+    from nilpoisson.expressions import format_multivector
+
+    cx = ExteriorComplex(parse_catalog_name("p4n2:2"))
+    lam = _parse(cx, "V^T1 + (1/2)V^T3")
+    shown = analyze(cx, lam, max_degree=2).poisson
+    assert shown == format_multivector(lam, ExpressionContext(cx.spec, cx.report))
+    assert shown == "-T1^V - (1/2)T3^V"
+    assert analyze(cx, max_degree=2).poisson is None
+    assert analyze(cx, GradedElement(), max_degree=2).poisson == "0"
+
+
+def _center_first(spec):
+    """The same algebra with its center moved to index 1, so V ^ T is canonical."""
+    order = {old: new for new, old in enumerate((spec.n, *range(1, spec.n)), start=1)}
+    constants = {(order[k], order[j], order[m]): value
+                 for (k, j, m), value in spec.constants.items()}
+    labels = tuple(spec.labels[old - 1] for old in sorted(order, key=order.get))
+    return AlgebraSpec(spec.name, spec.n, labels, constants)
+
+
+@pytest.mark.parametrize("spec", [parse_catalog_name("p4n2:2"),
+                                  _center_first(parse_catalog_name("p4n2:2"))],
+                         ids=["center-last", "center-first"])
+@pytest.mark.parametrize("text, expected", [
+    ("V^T1", "T1"),
+    ("T1^V", "-T1"),
+    ("V^T1 + (1/2)V^T3", "T1 + (1/2)T3"),
+    ("T1^T2", None),
+    ("V^T1 + T1^T2", None),
+    ("V^T1 - V^T1", None),
+])
+def test_detect_center_wedge_contracts_v(spec, text, expected):
+    """Lambda = V ^ T gives T, whichever side V sits on canonically; others give None."""
+    from nilpoisson.cohomology import _detect_center_wedge
+
+    cx = ExteriorComplex(spec)
+    t = _detect_center_wedge(cx, _parse(cx, text))
+    assert t == (None if expected is None else _parse(cx, expected))
 
 
 # -- theorem invariants on randomized Poisson structures ----------------------------------
@@ -587,8 +629,9 @@ def test_equal_multivectors_share_one_memo_entry():
 
     The same Lambda parsed from text, wedged with its terms in the other
     order and scaled by Fraction(2, 4) instead of 1/2, and built from a dict
-    of plain int and Fraction coefficients hashes equal and reuses one
-    memoized block, one image table and one pivot-count entry.
+    of plain int and Fraction coefficients hashes equal, gets an equal
+    block (ad blocks are not kept) and reuses one image table and one
+    pivot-count entry.
     """
     from nilpoisson.cohomology import _pivot_counts
     from nilpoisson.exterior import Monomial
@@ -607,7 +650,7 @@ def test_equal_multivectors_share_one_memo_entry():
     memo_sizes = (len(cx._blocks), len(cx._images_memo), len(cx._derivations),
                   len(cx.pivot_counts))
     for other in (built, from_dict):
-        assert cx.operator_block("ad", 1, 1, other) is block
+        assert cx.operator_block("ad", 1, 1, other) == block
         assert _pivot_counts(cx, other, 3) is counts
     assert (len(cx._blocks), len(cx._images_memo), len(cx._derivations),
             len(cx.pivot_counts)) == memo_sizes
