@@ -24,10 +24,8 @@ def solve_for(name, t_label):
     result = obstruction(cx, GradedElement.vector(t_index))
     line = f"{name:<22} T = {t_label:<3} -> {result.kind}"
     if result.kind == "solvable":
-        x = result.solution_element()
-        rendered = format_multivector(x, context) if x else "0"
         uniq = " (unique)" if result.unique else ""
-        line += f", X = {rendered}{uniq}"
+        line += f", X = {format_multivector(result.solution, context)}{uniq}"
     print(line)
 
 

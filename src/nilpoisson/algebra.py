@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .rationals import ZERO, GaussianRational, add_into
+from .rationals import ZERO, GaussianRational, InputError, add_into
 from .sparse import SparseMatrix, independent_indices, kernel_vectors, span_basis
 
 Vector = Dict[int, GaussianRational]  # sparse coordinates
@@ -45,7 +45,7 @@ Vector = Dict[int, GaussianRational]  # sparse coordinates
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-class AlgebraError(ValueError):
+class AlgebraError(InputError):
     """Base class for structural problems with an algebra spec."""
 
 

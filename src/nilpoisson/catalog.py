@@ -27,14 +27,14 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .algebra import AlgebraSpec
-from .rationals import GaussianRational, MalformedRational, format_rational, parse_rational
+from .rationals import GaussianRational, InputError, MalformedRational, format_rational, parse_rational
 
 
-class CatalogError(ValueError):
+class CatalogError(InputError):
     pass
 
 
-class SpecFormatError(ValueError):
+class SpecFormatError(InputError):
     pass
 
 

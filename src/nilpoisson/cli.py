@@ -11,9 +11,12 @@ Subcommands::
 
 NAME is a compact catalog name such as ``w4n6:0`` or
 ``double-heisenberg:2,1``; anything else is read as a JSON spec file.
-Exit codes: 0 on success, 1 on validation/input errors, 2 on
-internal-consistency failures (a theorem-implied equality not holding,
-which indicates a bug, never a property of the input).
+Exit codes: 0 on success; 1 on an input error, that is any
+:class:`~nilpoisson.rationals.InputError`, reported as one ``error:`` line;
+2 on an internal-consistency failure (a theorem-implied equality not
+holding, which indicates a bug, never a property of the input).  Any other
+exception is a bug too and ends with a traceback.  When the reader closes
+stdout, the run ends quietly with 141, as a shell reports a SIGPIPE stop.
 """
 
 from __future__ import annotations
@@ -21,23 +24,18 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .algebra import AlgebraError, AlgebraSpec, StructureReport, validate
-from .catalog import (CatalogError, FAMILIES, SpecFormatError, catalog_names,
-                      emit_spec, parse_catalog_name, parse_spec)
-from .cohomology import (CohomologyReport, ConsistencyError, DeformationError,
-                         ObstructionInputError, analyze, check_obstruction_verdict,
+from .algebra import AlgebraSpec, StructureReport, validate
+from .catalog import FAMILIES, SpecFormatError, catalog_names, emit_spec, parse_catalog_name, parse_spec
+from .cohomology import (CohomologyReport, ConsistencyError, analyze, check_obstruction_verdict,
                          deformed_complex, first_page, obstruction)
 from .exterior import ExteriorComplex, GradedElement, PoissonError, wedge
 from .expressions import ExpressionContext, ExpressionError, format_multivector, parse_multivector
-from .rationals import MalformedRational
-
-
-class InputError(ValueError):
-    """Any user-facing input problem; maps to exit code 1."""
+from .rationals import InputError, MalformedRational, parse_rational
 
 
 def _resolve_algebra(target: str) -> AlgebraSpec:
@@ -63,11 +61,16 @@ def _load(target: str) -> Tuple[AlgebraSpec, StructureReport, ExteriorComplex, E
     return spec, report, cx, context
 
 
+def _quote(text: str) -> str:
+    """A user's text for a one-line error: whole up to 80 characters, else 77 and '...'."""
+    return repr(text if len(text) <= 80 else text[:77] + "...")
+
+
 def _parse_expression(text: str, context: ExpressionContext, what: str) -> GradedElement:
     try:
         return parse_multivector(text, context)
     except ExpressionError as exc:
-        raise InputError(f"in {what} expression {text!r}: {exc}") from None
+        raise InputError(f"in {what} expression {_quote(text)}: {exc}") from None
 
 
 def _print_json(payload: dict) -> None:
@@ -113,7 +116,7 @@ def _cmd_analyze(args) -> int:
     try:
         result = analyze(cx, lam, max_degree=args.max_degree)
     except PoissonError as exc:
-        raise InputError(f"--poisson {args.poisson!r}: {exc}") from None
+        raise InputError(f"--poisson {_quote(args.poisson)}: {exc}") from None
     if args.json:
         _print_json(result.to_json_dict())
         return 0
@@ -166,10 +169,8 @@ def _cmd_obstruction(args) -> int:
     check_obstruction_verdict(cx, lam, result.kind, first_page(cx, lam, cap))
 
     if args.json:
-        solution = None
-        if result.solution is not None:
-            solution = {spec.label(i): str(v)
-                        for i, v in zip(result.t_indices, result.solution) if v}
+        solution = None if result.solution is None else {
+            spec.label(mono.vec[0]): str(v) for mono, v in result.solution.terms()}
         _print_json({"algebra": spec.name, "t": format_multivector(t, context),
                      "kind": result.kind, "unique": result.unique, "solution": solution})
         return 0
@@ -179,11 +180,9 @@ def _cmd_obstruction(args) -> int:
         print("trivial action: ad_Lambda vanishes identically; "
               "spectral sequence degenerates on the first page")
     else:
-        x = result.solution_element()
-        rendered = format_multivector(x, context) if x else "0"
         qualifier = "unique " if result.unique else ""
         print(f"solvable: spectral sequence degenerates on the first page; "
-              f"{qualifier}solution X = {rendered}")
+              f"{qualifier}solution X = {format_multivector(result.solution, context)}")
     return 0
 
 
@@ -223,10 +222,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type of --max-degree: the ASCII digits 0-9 only, like every other number."""
+    """argparse type of --max-degree: the ASCII digits 0-9 only, read by ``parse_rational``."""
     if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {_quote(text)}")
+    try:
+        return int(parse_rational(text))
+    except MalformedRational as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @functools.cache
@@ -275,8 +277,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (InputError, SpecFormatError, CatalogError, AlgebraError, ExpressionError,
-            PoissonError, ObstructionInputError, DeformationError, MalformedRational) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConsistencyError as exc:
@@ -285,7 +286,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send the exit flush to devnull, end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

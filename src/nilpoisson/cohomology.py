@@ -61,7 +61,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import CenterDimensionError, StructureReport
 from .expressions import ExpressionContext, format_multivector
 from .exterior import ExteriorComplex, GradedElement, Monomial, wedge
-from .rationals import ZERO, GaussianRational
+from .rationals import ZERO, GaussianRational, InputError
 from .sparse import (SparseMatrix, band_pivot_counts, independent_indices, kernel_vectors,
                      rank, solve)
 
@@ -70,7 +70,7 @@ class ConsistencyError(RuntimeError):
     """A theorem-implied equality failed: an internal bug, not a result."""
 
 
-class ObstructionInputError(ValueError):
+class ObstructionInputError(InputError):
     """The obstruction solver's hypotheses are not met."""
 
 
@@ -249,15 +249,8 @@ class ObstructionResult:
     """Outcome of the linear degeneracy obstruction for Lambda = V ^ T."""
 
     kind: str                                   # "trivial_action" | "solvable" | "unsolvable"
-    t_indices: Tuple[int, ...]                  # basis indices spanning t^{1,0}
-    solution: Optional[Tuple[GaussianRational, ...]] = None   # X over t_indices
+    solution: Optional[GradedElement] = None    # X in t^{1,0} when solvable
     unique: bool = False
-
-    def solution_element(self) -> Optional[GradedElement]:
-        if self.solution is None:
-            return None
-        return GradedElement({Monomial((index,), ()): coeff
-                              for index, coeff in zip(self.t_indices, self.solution)})
 
 
 def _in_top_layer(report: StructureReport, t: GradedElement) -> bool:
@@ -280,7 +273,7 @@ def obstruction(cx: ExteriorComplex, t: GradedElement) -> ObstructionResult:
     The system matrix is the memoized dbar block B^{1,0} -> B^{1,1} itself.
     V is central, so dbar V = 0: its column is zero (checked, fatal), never
     takes a pivot, and its variable stays 0, so the solution on the other
-    columns is the one on t^{1,0} alone.
+    columns is the one on t^{1,0} alone: X = sum_c x_c X_{c+1}.
     """
     report = cx.report
     if report.dim_center != 1:
@@ -300,12 +293,11 @@ def obstruction(cx: ExteriorComplex, t: GradedElement) -> ObstructionResult:
         raise ObstructionInputError(
             f"T is not inside the t_{report.step - 1} layer")
 
-    t_indices = tuple(i for i in range(1, cx.n + 1) if i != v_index)
     rho_bar = GradedElement.form(v_index)
     lam = wedge(GradedElement.vector(v_index), t)
     rhs_element = cx.schouten(lam, rho_bar)
     if not rhs_element:
-        return ObstructionResult(kind="trivial_action", t_indices=t_indices)
+        return ObstructionResult(kind="trivial_action")
 
     block = cx.operator_block("dbar", 1, 0)
     v_column = cx.basis_index(((v_index,), ()))
@@ -317,10 +309,9 @@ def obstruction(cx: ExteriorComplex, t: GradedElement) -> ObstructionResult:
         b[pos] = value
     x = solve(block.matrix, b)
     if x is None:
-        return ObstructionResult(kind="unsolvable", t_indices=t_indices)
-    return ObstructionResult(kind="solvable", t_indices=t_indices,
-                             solution=tuple(x[i - 1] for i in t_indices),
-                             unique=block.rank() == len(t_indices))
+        return ObstructionResult(kind="unsolvable")
+    solution = GradedElement({Monomial((c + 1,), ()): v for c, v in enumerate(x)})
+    return ObstructionResult("solvable", solution, unique=block.rank() == cx.n - 1)
 
 
 def check_obstruction_verdict(cx: ExteriorComplex, lam: GradedElement, kind: str,
@@ -394,7 +385,7 @@ def hodge_verdict(cx: ExteriorComplex, lam: GradedElement, hn: Dict[int, int],
 # -- deformation -------------------------------------------------------------------
 
 
-class DeformationError(ValueError):
+class DeformationError(InputError):
     pass
 
 
@@ -592,8 +583,8 @@ def analyze(cx: ExteriorComplex, lam: Optional[GradedElement] = None,
         result = obstruction(cx, t)
         obstruction_kind = result.kind
         if result.solution is not None:
-            obstruction_solution = {
-                cx.spec.label(i): v for i, v in zip(result.t_indices, result.solution) if v}
+            obstruction_solution = {cx.spec.label(mono.vec[0]): v
+                                    for mono, v in result.solution.terms()}
         degeneracy = check_obstruction_verdict(cx, lam, result.kind, page)
         if degeneracy and not verdict.hodge:
             raise ConsistencyError(

@@ -22,10 +22,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraSpec, StructureReport, validate
 from .exterior import GradedElement, wedge
-from .rationals import GaussianRational, MalformedRational, format_rational, parse_rational
+from .rationals import GaussianRational, InputError, MalformedRational, format_rational, parse_rational
 
 
-class ExpressionError(ValueError):
+class ExpressionError(InputError):
     def __init__(self, message: str, position: Optional[int] = None):
         self.position = position
         where = f" (at character {position + 1})" if position is not None else ""

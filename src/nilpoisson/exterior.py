@@ -89,11 +89,11 @@ from math import comb
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .algebra import AlgebraSpec, StructureReport, validate
-from .rationals import ONE, GaussianRational, add_into
+from .rationals import ONE, GaussianRational, InputError, add_into
 from .sparse import SparseMatrix
 
 
-class PoissonError(ValueError):
+class PoissonError(InputError):
     """A multivector fails the holomorphic Poisson requirements."""
 
 

@@ -15,6 +15,12 @@ work on the raw ints and build the results with :func:`from_triple`.  Every
 other linear combination (elements of the exterior algebra, matrix sums and
 products, brackets of coordinate vectors) is a dict of nonzero scalars built
 with :func:`add_into`, the one place that drops a coefficient summing to zero.
+
+Every module of the package imports this one, so it also defines
+:class:`InputError`, the root of every error that bad input raises (a
+malformed number, spec, catalog name, expression, Poisson bivector or
+obstruction/deformation argument).  The command line maps exactly that class
+to exit code 1; any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -30,7 +36,11 @@ _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 Rationalish = Union[int, Fraction]
 
 
-class MalformedRational(ValueError):
+class InputError(ValueError):
+    """Bad user input: the root of every input-error class; exit code 1."""
+
+
+class MalformedRational(InputError):
     """A rational string is not of the form ``p`` or ``p/q`` with q > 0."""
 
 

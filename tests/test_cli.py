@@ -8,6 +8,7 @@ import pytest
 
 from nilpoisson import ExteriorComplex
 from nilpoisson.cli import main
+from nilpoisson.rationals import InputError
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +166,42 @@ def test_deform_lets_internal_value_errors_escape(monkeypatch):
     monkeypatch.setattr(cli, "deformed_complex", broken)
     with pytest.raises(ValueError, match="shape mismatch"):
         main(["deform", "w4n6:0", "--poisson", "V^T2", "--omega", "rho_bar^w1_bar"])
+
+
+def test_every_error_class_has_one_of_the_two_roots():
+    """Each exception class the package defines is an InputError (exit 1) or a
+    ConsistencyError (exit 2), so main's two except clauses cover it."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import nilpoisson
+    from nilpoisson.cohomology import ConsistencyError
+
+    defined = []
+    for info in pkgutil.iter_modules(nilpoisson.__path__):
+        if info.name == "__main__":   # importing it runs the command line
+            continue
+        module = importlib.import_module(f"nilpoisson.{info.name}")
+        defined += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                    if cls.__module__ == module.__name__ and issubclass(cls, BaseException)]
+    assert {"InputError", "MalformedRational", "ConsistencyError", "NotPoisson",
+            "NotIntegrable"} <= {cls.__name__ for cls in defined}
+    assert [cls for cls in defined if not issubclass(cls, (InputError, ConsistencyError))] == []
+
+
+def test_main_maps_any_input_error_to_exit_1(capsys, monkeypatch):
+    """A new InputError subclass needs no change to main to exit 1."""
+    from nilpoisson import cli
+
+    class FreshInputError(InputError):
+        pass
+
+    def broken(spec):
+        raise FreshInputError("a new kind of bad input")
+
+    monkeypatch.setattr(cli, "validate", broken)
+    assert run_cli(capsys, "validate", "w4n6:0") == (1, "", "error: a new kind of bad input\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -506,8 +543,9 @@ def test_poisson_coefficient_with_non_ascii_digits_exits_1(capsys):
 
 
 def test_numbers_longer_than_int_reads_exit_1(capsys, tmp_path):
-    """A spec rational, a coefficient and a catalog parameter with more
-    digits than int() reads from a string each give one error line."""
+    """A spec rational, a coefficient, a catalog parameter and --max-degree with
+    more digits than int() reads from a string each give one short error line:
+    a quoted expression is cut to 77 characters and '...' past 80."""
     limit = sys.get_int_max_str_digits()
     long = "1" * (limit + 1)
     message = f"a number has more than {limit} digits"
@@ -518,7 +556,11 @@ def test_numbers_longer_than_int_reads_exit_1(capsys, tmp_path):
         (("validate", str(spec)), f"error: {spec}: constants[0]: {message}"),
         (("validate", f"w4n6:{long}"), f"error: catalog name 'w4n6': {message}"),
         (("analyze", "w4n6:0", "--poisson", f"(1/{long})V^T1"),
-         f"error: in --poisson expression '(1/{long})V^T1': {message} (at character 2)"),
+         f"error: in --poisson expression '(1/{long[:74]}...': {message} (at character 2)"),
+        (("analyze", "w4n6:0", "--max-degree", long),
+         f"error: argument --max-degree: {message}"),
+        (("analyze", "w4n6:0", "--max-degree", "x" * 5000),
+         f"error: argument --max-degree: expected a non-negative integer, got '{'x' * 77}...'"),
     ]:
         assert run_cli(capsys, *argv) == (1, "", err_line + "\n")
 
@@ -552,6 +594,17 @@ def test_module_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["hn_lambda"]["1"] == 5
+
+
+def test_closed_stdout_ends_the_run_quietly_with_141():
+    """A reader that closes the pipe, as `| head` does, stops the run with
+    128 + SIGPIPE and nothing on stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nilpoisson", "analyze", "w4n6:1", "--poisson", "V^T1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()   # the child is still starting up: it has written nothing yet
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
 
 
 # -- support-only assembly ------------------------------------------------------------

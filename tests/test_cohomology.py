@@ -253,8 +253,8 @@ def test_heisenberg_obstruction_always_uniquely_solvable(n):
 def test_heisenberg_solution_value(heis1_complex):
     """For E_11 = -i/2 the unique solution is X = -T1; verify dbar X = ad rho_bar."""
     result = obstruction(heis1_complex, V(1))
-    assert result.solution == (gauss(-1),)
-    x = result.solution_element()
+    x = result.solution
+    assert x == GradedElement.vector(1, -1)
     lam = wedge(V(2), V(1))
     assert heis1_complex.dbar(x) == heis1_complex.schouten(lam, F(2))
 
@@ -273,7 +273,7 @@ def test_obstruction_solution_satisfies_the_equation():
         result = obstruction(cx, V(j))
         assert result.kind == "solvable" and result.unique
         lam = wedge(V(3), V(j))
-        assert cx.dbar(result.solution_element()) == cx.schouten(lam, F(3))
+        assert cx.dbar(result.solution) == cx.schouten(lam, F(3))
 
 
 def test_obstruction_rejects_bad_center():
@@ -322,7 +322,8 @@ def _restricted_obstruction(cx, t):
     x = solve(system, b)
     if x is None:
         return "unsolvable", None, False
-    return "solvable", tuple(x), rank(system) == len(t_indices)
+    solution = sum((GradedElement.vector(i, v) for i, v in zip(t_indices, x)), GradedElement())
+    return "solvable", solution, rank(system) == len(t_indices)
 
 
 def _assert_matches_restricted(cx, t):
