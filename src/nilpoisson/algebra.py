@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .rationals import ZERO, GaussianRational, InputError, add_into
+from .rationals import ZERO, ConsistencyError, GaussianRational, InputError, add_into, quote
 from .sparse import SparseMatrix, independent_indices, kernel_vectors, span_basis
 
 Vector = Dict[int, GaussianRational]  # sparse coordinates
@@ -92,9 +92,9 @@ class AlgebraSpec:
         for label in labels:
             # labels are names in the expression grammar, beside the form names
             if not _LABEL_RE.fullmatch(label):
-                raise AlgebraError(f"basis label {label!r} is not a name [A-Za-z_][A-Za-z0-9_]*")
+                raise AlgebraError(f"basis label {quote(label)} is not a name [A-Za-z_][A-Za-z0-9_]*")
             if label in reserved:
-                raise AlgebraError(f"basis label {label!r} is reserved for a (0,1)-form")
+                raise AlgebraError(f"basis label {quote(label)} is reserved for a (0,1)-form")
         clean: Dict[Tuple[int, int, int], GaussianRational] = {}
         for (k, j, m), value in dict(self.constants).items():
             for idx in (k, j, m):
@@ -179,8 +179,10 @@ def _unit_indices(vectors: Sequence[Vector]) -> Optional[Tuple[int, ...]]:
 def validate(spec: AlgebraSpec) -> StructureReport:
     """Check Jacobi and nilpotency; compute step, center, and layers.
 
-    Raises JacobiViolation, NotNilpotent, or IndexOutOfRange (the last is
-    already enforced at construction).
+    Raises JacobiViolation or NotNilpotent on bad input (IndexOutOfRange is
+    already enforced at construction).  Two theorems are then fatal checks
+    that only a bug can fail, each a ConsistencyError: the layers of the
+    filtration of g^{1,0} sum to n, and the top layer lies in the center.
     """
     n = spec.n
     dim = 2 * n
@@ -208,13 +210,14 @@ def validate(spec: AlgebraSpec) -> StructureReport:
     def bracket_span(vectors: List[Vector]) -> List[Vector]:
         return span_basis([w for u in vectors for v in basis_vectors if (w := spec.bracket(u, v))])
 
+    # Each term lies in the one before, so a step that does not shrink it
+    # stabilizes the series, and a series that always shrinks reaches zero.
     series = [span_basis([table[pair] for pair in sorted(table)])]
     while series[-1]:
-        if len(series) > dim:
-            raise NotNilpotent(f"lower central series of {spec.name!r} does not reach zero")
         nxt = bracket_span(series[-1])
-        if len(nxt) == len(series[-1]):
-            raise NotNilpotent(f"lower central series of {spec.name!r} stabilizes at dimension {len(nxt)}")
+        if len(nxt) >= len(series[-1]):
+            raise NotNilpotent(f"lower central series of {quote(spec.name)} "
+                               f"stabilizes at dimension {len(nxt)}")
         series.append(nxt)
     step = len(series)  # series[0] = g^1, ..., series[step-1] = g^step = 0
 
@@ -243,9 +246,9 @@ def validate(spec: AlgebraSpec) -> StructureReport:
                             for i in independent_indices(inner + outer) if i >= len(inner)))
 
     if sum(len(layer) for layer in layers) != n:
-        raise AlgebraError("layer dimensions do not sum to the complex dimension")
+        raise ConsistencyError(f"{spec.name}: layer dimensions do not sum to the complex dimension")
     if len(independent_indices([*center_vecs, *layers[-1]])) != len(center_vecs):
-        raise AlgebraError("top layer escapes the center; input is inconsistent")
+        raise ConsistencyError(f"{spec.name}: top layer escapes the center")
 
     return StructureReport(
         step=step,

@@ -27,7 +27,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .algebra import AlgebraSpec
-from .rationals import GaussianRational, InputError, MalformedRational, format_rational, parse_rational
+from .rationals import (GaussianRational, InputError, MalformedRational, format_rational,
+                        parse_rational, quote)
 
 
 class CatalogError(InputError):
@@ -107,10 +108,10 @@ FAMILIES: Dict[str, Tuple[str, int, Callable[..., AlgebraSpec]]] = {
 
 def build_catalog_entry(family: str, parameters: Sequence[int]) -> AlgebraSpec:
     if family not in FAMILIES:
-        raise CatalogError(f"unknown family {family!r}; known: {', '.join(sorted(FAMILIES))}")
+        raise CatalogError(f"unknown family {quote(family)}; known: {', '.join(sorted(FAMILIES))}")
     _, arity, constructor = FAMILIES[family]
     if len(parameters) != arity:
-        raise CatalogError(f"family {family!r} takes {arity} parameter(s), got {len(parameters)}")
+        raise CatalogError(f"family {quote(family)} takes {arity} parameter(s), got {len(parameters)}")
     return constructor(*parameters)
 
 
@@ -121,15 +122,15 @@ _PARAMETERS_RE = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 def parse_catalog_name(name: str) -> AlgebraSpec:
     """Resolve compact names like 'w4n6:0' or 'double-heisenberg:2,1'."""
     if ":" not in name:
-        raise CatalogError(f"catalog name {name!r} needs the form family:params")
+        raise CatalogError(f"catalog name {quote(name)} needs the form family:params")
     family, _, params = name.partition(":")
     if not _PARAMETERS_RE.fullmatch(params):
         raise CatalogError(
-            f"catalog name {name!r} needs integer parameters separated by single commas")
+            f"catalog name {quote(name)} needs integer parameters separated by single commas")
     try:
         parameters = [int(parse_rational(piece)) for piece in params.split(",")]
     except MalformedRational as exc:   # only a number too long for int() is left
-        raise CatalogError(f"catalog name {family.strip()!r}: {exc}") from None
+        raise CatalogError(f"catalog name {quote(family.strip())}: {exc}") from None
     return build_catalog_entry(family.strip(), parameters)
 
 

@@ -13,8 +13,9 @@ NAME is a compact catalog name such as ``w4n6:0`` or
 ``double-heisenberg:2,1``; anything else is read as a JSON spec file.
 Exit codes: 0 on success; 1 on an input error, that is any
 :class:`~nilpoisson.rationals.InputError`, reported as one ``error:`` line;
-2 on an internal-consistency failure (a theorem-implied equality not
-holding, which indicates a bug, never a property of the input).  Any other
+2 on an internal-consistency failure, a
+:class:`~nilpoisson.rationals.ConsistencyError` (a theorem-implied equality
+not holding, which indicates a bug, never a property of the input).  Any other
 exception is a bug too and ends with a traceback.  When the reader closes
 stdout, the run ends quietly with 141, as a shell reports a SIGPIPE stop.
 """
@@ -31,24 +32,25 @@ from typing import List, Optional, Tuple
 
 from .algebra import AlgebraSpec, StructureReport, validate
 from .catalog import FAMILIES, SpecFormatError, catalog_names, emit_spec, parse_catalog_name, parse_spec
-from .cohomology import (CohomologyReport, ConsistencyError, analyze, check_obstruction_verdict,
-                         deformed_complex, first_page, obstruction)
+from .cohomology import (CohomologyReport, analyze, check_obstruction_verdict, deformed_complex,
+                         first_page, obstruction)
 from .exterior import ExteriorComplex, GradedElement, PoissonError, wedge
 from .expressions import ExpressionContext, ExpressionError, format_multivector, parse_multivector
-from .rationals import InputError, MalformedRational, parse_rational
+from .rationals import ConsistencyError, InputError, MalformedRational, parse_rational, quote
 
 
 def _resolve_algebra(target: str) -> AlgebraSpec:
     family = target.partition(":")[0]
     if family in FAMILIES:
         return parse_catalog_name(target)
-    path = Path(target)
-    if not path.exists():
+    # os.path.exists reads an OSError (a name longer than the file system
+    # allows, say) as False, where Path.exists raises it
+    if not os.path.exists(target):
         raise InputError(
-            f"{target!r} is neither a catalog name ({', '.join(sorted(FAMILIES))}) "
+            f"{quote(target)} is neither a catalog name ({', '.join(sorted(FAMILIES))}) "
             "nor an existing spec file")
     try:
-        return parse_spec(path.read_text(encoding="utf-8"))
+        return parse_spec(Path(target).read_text(encoding="utf-8"))
     except (SpecFormatError, OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{target}: {exc}") from None
 
@@ -61,16 +63,11 @@ def _load(target: str) -> Tuple[AlgebraSpec, StructureReport, ExteriorComplex, E
     return spec, report, cx, context
 
 
-def _quote(text: str) -> str:
-    """A user's text for a one-line error: whole up to 80 characters, else 77 and '...'."""
-    return repr(text if len(text) <= 80 else text[:77] + "...")
-
-
 def _parse_expression(text: str, context: ExpressionContext, what: str) -> GradedElement:
     try:
         return parse_multivector(text, context)
     except ExpressionError as exc:
-        raise InputError(f"in {what} expression {_quote(text)}: {exc}") from None
+        raise InputError(f"in {what} expression {quote(text)}: {exc}") from None
 
 
 def _print_json(payload: dict) -> None:
@@ -116,7 +113,7 @@ def _cmd_analyze(args) -> int:
     try:
         result = analyze(cx, lam, max_degree=args.max_degree)
     except PoissonError as exc:
-        raise InputError(f"--poisson {_quote(args.poisson)}: {exc}") from None
+        raise InputError(f"--poisson {quote(args.poisson)}: {exc}") from None
     if args.json:
         _print_json(result.to_json_dict())
         return 0
@@ -224,7 +221,7 @@ class _Parser(argparse.ArgumentParser):
 def _non_negative_int(text: str) -> int:
     """argparse type of --max-degree: the ASCII digits 0-9 only, read by ``parse_rational``."""
     if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {_quote(text)}")
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {quote(text)}")
     try:
         return int(parse_rational(text))
     except MalformedRational as exc:

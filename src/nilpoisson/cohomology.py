@@ -61,13 +61,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import CenterDimensionError, StructureReport
 from .expressions import ExpressionContext, format_multivector
 from .exterior import ExteriorComplex, GradedElement, Monomial, wedge
-from .rationals import ZERO, GaussianRational, InputError
+from .rationals import ZERO, ConsistencyError, GaussianRational, InputError
 from .sparse import (SparseMatrix, band_pivot_counts, independent_indices, kernel_vectors,
                      rank, solve)
-
-
-class ConsistencyError(RuntimeError):
-    """A theorem-implied equality failed: an internal bug, not a result."""
 
 
 class ObstructionInputError(InputError):
@@ -411,8 +407,9 @@ def deformed_complex(cx: ExteriorComplex, lam: GradedElement, omega_bar: GradedE
                      max_degree: Optional[int] = None) -> DeformationReport:
     """Cohomology of delta = dbar_Lambda + [Omega_bar, -] plus ker on K^1.
 
-    Omega_bar must be an integrable (0,2) class: dbar_Lambda(Omega_bar) = 0
-    and [Omega_bar, Omega_bar] = 0.  delta^2 = 0 is verified on every
+    Omega_bar must be an integrable (0,2) class: dbar_Lambda(Omega_bar) = 0.
+    [Omega_bar, Omega_bar] = 0 needs no check: [wbar^i, wbar^j] = 0 makes it
+    vanish for every (0,2) Omega_bar.  delta^2 = 0 is verified on every
     pair of assembled operators T_n, T_{n+1} before any dimension is
     reported; T_1 is assembled at every cap, cap 0 included, for the
     kernel on K^1, and eliminated once: its rank is cols - dim ker.
@@ -425,8 +422,6 @@ def deformed_complex(cx: ExteriorComplex, lam: GradedElement, omega_bar: GradedE
     closure = cx.dbar(omega_bar) + cx.schouten(lam, omega_bar)
     if closure:
         raise NotIntegrable("dbar_Lambda(Omega_bar) != 0")
-    if cx.schouten(omega_bar, omega_bar):
-        raise NotIntegrable("[Omega_bar, Omega_bar] != 0")
 
     summands = [lam, omega_bar]
     cap = degree_cap(cx, max_degree)
@@ -515,6 +510,7 @@ def _detect_center_wedge(cx: ExteriorComplex, lam: GradedElement) -> Optional[Gr
     -(V ^ X_a)); the wedge check V ^ T == lam rejects every other shape.
     """
     report = cx.report
+    # a nonzero (2,0) lam needs n >= 2, so a one-dimensional center means step >= 2
     if not lam or report.dim_center != 1 or report.center_indices is None:
         return None
     v = report.center_indices[0]
@@ -522,7 +518,7 @@ def _detect_center_wedge(cx: ExteriorComplex, lam: GradedElement) -> Optional[Gr
                        -coeff if mono.vec[1:2] == (v,) else coeff for mono, coeff in lam.terms()})
     if wedge(GradedElement.vector(v), t) != lam:
         return None
-    if report.step < 2 or not _in_top_layer(report, t):
+    if not _in_top_layer(report, t):
         return None
     return t
 

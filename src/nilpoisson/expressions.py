@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraSpec, StructureReport, validate
 from .exterior import GradedElement, wedge
-from .rationals import GaussianRational, InputError, MalformedRational, format_rational, parse_rational
+from .rationals import (GaussianRational, InputError, MalformedRational, format_rational,
+                        parse_rational, quote)
 
 
 class ExpressionError(InputError):
@@ -40,13 +41,23 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
+def _shown(token: Tuple[str, str, int]) -> str:
+    """A token for an error message, quoted whole up to 24 characters.
+
+    The command line quotes the whole expression, up to 80 characters,
+    beside the message, so a token is cut shorter to keep one error line
+    under 200 bytes.
+    """
+    return quote(token[1], 24)
+
+
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     tokens = []
     pos = 0
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if not match:
-            raise ExpressionError(f"unexpected character {text[pos]!r}", pos)
+            raise ExpressionError(f"unexpected character {quote(text[pos])}", pos)
         kind = match.lastgroup
         if kind != "space":
             value = match.group()
@@ -103,7 +114,7 @@ class _Parser:
     def _expect_op(self, op: str):
         token = self._next()
         if token[0] != "op" or token[1] != op:
-            raise ExpressionError(f"expected {op!r}, found {token[1]!r}", token[2])
+            raise ExpressionError(f"expected {op!r}, found {_shown(token)}", token[2])
         return token
 
     def parse(self) -> GradedElement:
@@ -123,7 +134,7 @@ class _Parser:
                 sign = -1 if token[1] == "-" else 1
                 total = total + self._term() * sign
             else:
-                raise ExpressionError(f"expected '+' or '-', found {token[1]!r}", token[2])
+                raise ExpressionError(f"expected '+' or '-', found {_shown(token)}", token[2])
 
     def _term(self) -> GradedElement:
         coeff = self._coefficient()
@@ -144,10 +155,10 @@ class _Parser:
     def _label(self) -> GradedElement:
         token = self._next()
         if token[0] != "name":
-            raise ExpressionError(f"expected a generator label, found {token[1]!r}", token[2])
+            raise ExpressionError(f"expected a generator label, found {_shown(token)}", token[2])
         generator = self.context.generators.get(token[1])
         if generator is None:
-            raise ExpressionError(f"unknown generator label {token[1]!r}", token[2])
+            raise ExpressionError(f"unknown generator label {_shown(token)}", token[2])
         return generator
 
     def _coefficient(self) -> GaussianRational:
@@ -174,7 +185,7 @@ class _Parser:
                     raise ExpressionError("expected 'i' after the imaginary part", marker[2])
                 self._expect_op(")")
                 return GaussianRational(re_part, im_sign * im_part)
-            raise ExpressionError(f"malformed coefficient near {nxt[1]!r}", nxt[2])
+            raise ExpressionError(f"malformed coefficient near {_shown(nxt)}", nxt[2])
         return GaussianRational(1)
 
     def _signed_rational(self) -> Fraction:
@@ -184,7 +195,7 @@ class _Parser:
             sign = -1 if token[1] == "-" else 1
             token = self._next()
         if token[0] != "number":
-            raise ExpressionError(f"expected a rational, found {token[1]!r}", token[2])
+            raise ExpressionError(f"expected a rational, found {_shown(token)}", token[2])
         return sign * self._fraction(token)
 
     @staticmethod

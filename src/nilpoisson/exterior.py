@@ -105,10 +105,6 @@ class NotHolomorphic(PoissonError):
     pass
 
 
-class NotPoisson(PoissonError):
-    pass
-
-
 class Monomial(NamedTuple):
     """Canonical exterior monomial X_{vec} ^ wbar_{form}, both ascending."""
 
@@ -439,15 +435,16 @@ class ExteriorComplex:
     # -- Poisson validation --------------------------------------------------------
 
     def validate_poisson(self, lam: GradedElement) -> None:
-        """Check lam is a holomorphic Poisson bivector; raise otherwise."""
+        """Check lam is a holomorphic Poisson bivector; raise otherwise.
+
+        [lam, lam] = 0 needs no check: [X_i, X_j] = 0 makes it vanish for
+        every (2,0) lam.
+        """
         if lam.bidegrees() - {(2, 0)}:
             raise NotBidegree(f"expected a (2,0) bivector, got bidegrees {sorted(lam.bidegrees())}")
         image = self.dbar(lam)
         if image:
             raise NotHolomorphic(f"dbar(Lambda) != 0 (has {len(image)} terms)")
-        bracket = self.schouten(lam, lam)
-        if bracket:
-            raise NotPoisson("[Lambda, Lambda] != 0")
 
     # -- block assembly ----------------------------------------------------------
 

@@ -16,11 +16,14 @@ other linear combination (elements of the exterior algebra, matrix sums and
 products, brackets of coordinate vectors) is a dict of nonzero scalars built
 with :func:`add_into`, the one place that drops a coefficient summing to zero.
 
-Every module of the package imports this one, so it also defines
-:class:`InputError`, the root of every error that bad input raises (a
-malformed number, spec, catalog name, expression, Poisson bivector or
-obstruction/deformation argument).  The command line maps exactly that class
-to exit code 1; any other exception is a bug.
+Every module of the package imports this one, so it also defines the two
+roots of every error the package raises: :class:`InputError`, raised by bad
+input (a malformed number, spec, catalog name, expression, Poisson bivector
+or obstruction/deformation argument), and :class:`ConsistencyError`, raised
+when a theorem-implied equality fails, which only a bug can cause.  The
+command line maps the first to exit code 1 and the second to exit code 2;
+any other exception is a bug.  :func:`quote` is the one rule for echoing a
+user's text in an error message.
 """
 
 from __future__ import annotations
@@ -40,6 +43,15 @@ class InputError(ValueError):
     """Bad user input: the root of every input-error class; exit code 1."""
 
 
+class ConsistencyError(RuntimeError):
+    """A theorem-implied equality failed: an internal bug, not a result; exit code 2."""
+
+
+def quote(text: str, width: int = 80) -> str:
+    """A user's text for a one-line error: whole up to width characters, else width - 3 and '...'."""
+    return repr(text if len(text) <= width else text[:width - 3] + "...")
+
+
 class MalformedRational(InputError):
     """A rational string is not of the form ``p`` or ``p/q`` with q > 0."""
 
@@ -53,12 +65,12 @@ def parse_rational(text: str) -> Fraction:
     """
     s = text.strip()
     if not _RATIONAL_RE.match(s):
-        raise MalformedRational(f"not a rational 'p' or 'p/q' string: {text!r}")
+        raise MalformedRational(f"not a rational 'p' or 'p/q' string: {quote(text)}")
     num, _, den = s.partition("/")
     try:
         return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
-        raise MalformedRational(f"zero denominator: {text!r}") from None
+        raise MalformedRational(f"zero denominator: {quote(text)}") from None
     except ValueError:   # int() reads at most sys.get_int_max_str_digits() digits
         raise MalformedRational(f"a number has more than {sys.get_int_max_str_digits()} digits") from None
 

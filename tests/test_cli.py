@@ -185,7 +185,7 @@ def test_every_error_class_has_one_of_the_two_roots():
         module = importlib.import_module(f"nilpoisson.{info.name}")
         defined += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
                     if cls.__module__ == module.__name__ and issubclass(cls, BaseException)]
-    assert {"InputError", "MalformedRational", "ConsistencyError", "NotPoisson",
+    assert {"InputError", "MalformedRational", "ConsistencyError",
             "NotIntegrable"} <= {cls.__name__ for cls in defined}
     assert [cls for cls in defined if not issubclass(cls, (InputError, ConsistencyError))] == []
 
@@ -280,6 +280,20 @@ def test_banded_dbar_rank_disagreeing_with_its_block_exits_2(capsys, monkeypatch
     assert err == ("internal consistency failure: w4n6:0, Lambda = -T1^V: dbar on B^{1,1} "
                    f"has rank {banded} in the banded elimination of K^2 but rank "
                    f"{banded + 1} as a block\n")
+
+
+@pytest.mark.parametrize("patched, message", [
+    ("independent_indices", "w4n6:1: layer dimensions do not sum to the complex dimension"),
+    ("kernel_vectors", "w4n6:1: top layer escapes the center"),
+], ids=["layer-sum", "top-layer"])
+def test_validate_structure_theorems_exit_2(capsys, monkeypatch, patched, message):
+    """The layers summing to n and the top layer being central are theorems, so
+    validate checks them fatally: a failure is a bug, exit 2, never an input error."""
+    from nilpoisson import algebra
+
+    monkeypatch.setattr(algebra, patched, lambda *args, **kwargs: [])
+    assert run_cli(capsys, "validate", "w4n6:1") == (
+        2, "", f"internal consistency failure: {message}\n")
 
 
 def test_dimension_above_the_injectivity_bound_exits_2(capsys, monkeypatch):
@@ -563,6 +577,26 @@ def test_numbers_longer_than_int_reads_exit_1(capsys, tmp_path):
          f"error: argument --max-degree: expected a non-negative integer, got '{'x' * 77}...'"),
     ]:
         assert run_cli(capsys, *argv) == (1, "", err_line + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "Q" * 5000),
+    ("analyze", "w4n6:0", "--poisson", "Q" * 5000),
+    ("catalog", "emit", "Q" * 5000),
+    ("catalog", "emit", "Q" * 5000 + ":1"),
+    ("validate", "re.json"),
+], ids=["validate", "poisson", "emit", "emit-family", "spec-rational"])
+def test_over_long_user_text_gives_one_short_error_line(capsys, monkeypatch, tmp_path, argv):
+    """Every echo of a user's text is quoted by one rule, so a 5000-character
+    target, label, catalog name or spec rational gives one short error line."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "re.json").write_text(json.dumps({"name": "x", "n": 3, "labels": ["A", "B", "C"],
+                                                  "constants": [{"k": 1, "j": 2, "m": 3,
+                                                                 "re": "x" * 5000}]}))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert len(err.encode()) < 200
 
 
 def test_zero_denominator_in_a_coefficient_exits_1(capsys):

@@ -557,6 +557,16 @@ def test_total_operator_matches_elementwise_application(w6_complex, heis1_comple
             assert assembled.entries == direct
 
 
+def test_total_operator_rejects_a_piece_outside_the_next_degree(w6_complex):
+    """A summand that keeps the degree, such as a vector, maps a block of K^1 back
+    into K^1; its nonzero piece has no rows in K^2, which is a bug."""
+    from nilpoisson.cohomology import total_operator
+
+    with pytest.raises(ConsistencyError,
+                       match=re.escape("w4n6:0: operator (0, 1)->(0, 1) escapes degree 2")):
+        total_operator(w6_complex, [V(1)], 1)
+
+
 def test_total_operator_rejects_two_pieces_on_one_block_pair(w6_complex):
     """Entries are placed, not added, so a repeated block pair is an error."""
     from nilpoisson.cohomology import total_operator

@@ -240,16 +240,16 @@ def test_wrong_bidegree_rejected(w6_complex):
 
 
 def test_poisson_square_always_vanishes(w6_complex, three_step_complex):
-    """Abelian structure: [lam, lam] = 0 for every (2,0) bivector."""
+    """Abelian structure: [x, x] = 0 for every (2,0) bivector and every (0,2) form."""
     rng = random.Random(7)
-    for cx in (w6_complex, three_step_complex):
-        for _ in range(10):
-            lam = GradedElement()
-            for _ in range(2):
-                i, j = rng.sample(range(1, cx.n + 1), 2)
-                lam = lam + wedge(GradedElement.vector(i),
-                                  GradedElement.vector(j)) * gauss(rng.randint(-2, 2))
-            assert not cx.schouten(lam, lam)
+    for generator in (GradedElement.vector, GradedElement.form):
+        for cx in (w6_complex, three_step_complex):
+            for _ in range(10):
+                x = GradedElement()
+                for _ in range(2):
+                    i, j = rng.sample(range(1, cx.n + 1), 2)
+                    x = x + wedge(generator(i), generator(j)) * gauss(rng.randint(-2, 2))
+                assert not cx.schouten(x, x)
 
 
 # -- operator blocks -----------------------------------------------------------------
