@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -150,16 +151,19 @@ def parse_spec(text: str) -> AlgebraSpec:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError:   # an integer longer than int() reads, see sys.get_int_max_str_digits()
+        raise SpecFormatError(
+            f"invalid JSON: a number has more than {sys.get_int_max_str_digits()} digits") from None
     if not isinstance(raw, dict):
         raise SpecFormatError("top level must be an object")
     unknown = set(raw) - _TOP_LEVEL_FIELDS
     if unknown:
-        raise SpecFormatError(f"unknown field(s): {', '.join(sorted(unknown))}")
+        raise SpecFormatError(f"unknown field(s): {quote(', '.join(sorted(unknown)))}")
     for required in ("name", "n", "labels"):
         if required not in raw:
             raise SpecFormatError(f"missing field {required!r}")
     if not isinstance(raw["name"], str):
-        raise SpecFormatError(f"'name' must be a string, got {json.dumps(raw['name'])}")
+        raise SpecFormatError(f"'name' must be a string, got {quote(json.dumps(raw['name']))}")
     if type(raw["n"]) is not int:  # JSON integers only: no bool, float or string
         raise SpecFormatError("'n' must be an integer")
     if not isinstance(raw["labels"], list) or not all(isinstance(s, str) for s in raw["labels"]):
@@ -175,7 +179,7 @@ def parse_spec(text: str) -> AlgebraSpec:
         unknown = set(item) - _CONSTANT_FIELDS
         if unknown:
             raise SpecFormatError(
-                f"constants[{position}]: unknown field(s) {', '.join(sorted(unknown))}")
+                f"constants[{position}]: unknown field(s) {quote(', '.join(sorted(unknown)))}")
         k, j, m = item.get("k"), item.get("j"), item.get("m")
         if not all(type(x) is int for x in (k, j, m)):
             raise SpecFormatError(f"constants[{position}]: k, j, m must be integers")
@@ -186,7 +190,7 @@ def parse_spec(text: str) -> AlgebraSpec:
             text = item.get(part, "0")
             if not isinstance(text, str):   # "p/q" strings only: no number, bool or null
                 raise SpecFormatError(f"constants[{position}]: {part!r} must be a 'p' or "
-                                      f"'p/q' string, got {json.dumps(text)}")
+                                      f"'p/q' string, got {quote(json.dumps(text))}")
             try:
                 parts.append(parse_rational(text))
             except MalformedRational as exc:

@@ -2,7 +2,8 @@
 
 Everything here reduces to exact ranks of the memoized operator blocks:
 
-* Dolbeault dimensions  H^q(g^{p,0}) = dim ker dbar|B^{p,q} - rank dbar|B^{p,q-1};
+* Dolbeault dimensions  H^q(g^{p,0}) = dim ker dbar|B^{p,q} - rank dbar|B^{p,q-1},
+  through the core of L_Lambda when Lambda is given (see below);
 * total cohomology of dbar_Lambda = dbar + ad_Lambda on K^n = sum_{p+q=n} B^{p,q}
   by exact rank of the total operator T_n -- the oracle every theorem-level
   claim is checked against;
@@ -45,6 +46,28 @@ its own for the Dolbeault table, a fatal check.  The deformed differential
 adds Omega_bar, which lowers p, so its total operator is not filtered this
 way and is ranked without bands.
 
+Free generators split off.  K^* is the exterior algebra on the 2n
+generators, and T = dbar + ad_Lambda is an odd derivation, fixed by its
+images on them.  Call a generator g free when T g = 0 and g occurs in no
+image T h (:meth:`~nilpoisson.exterior.ExteriorComplex.split` reads this
+off the generator tables).  Then K = K(core) (x) Lambda(free), with
+T(a ^ m) = T(a) ^ m for every free monomial m, so T_n is block diagonal:
+one signed copy of T_{n-v-f}(core) per free monomial with v vectors and
+f forms, with both bands shifted by v.  Ranks and window ranks add over
+the copies, so the banded counts of T_n are the core's counts of
+T_{n-v-f}, shifted by v in both bands and multiplied by
+C(F_v, v) C(F_f, f), F_v and F_f the numbers of free vectors and forms;
+likewise rank dbar|B^{p,q} = sum rank dbar|B^{p-v,q-f}(core) C(F_v, v) C(F_f, f).
+On w4n6:k with Lambda = V ^ T1, 2k+1 of the 4k+6 generators are free.
+
+The Dolbeault table uses the same core.  A generator free for Lambda is
+free for dbar alone: on a generator g, dbar g and ad_Lambda g lie in
+different bidegrees (dbar raises q, ad_Lambda raises p), so T g = 0 forces
+both to vanish, and g occurs in T h exactly when it occurs in dbar h or
+in ad_Lambda h.  So the dbar blocks of the core serve both the Dolbeault
+table and T_n, and are assembled once.  When no generator is free, every
+route runs on the whole complex and no core is built.
+
 Dimension statements that are theorems (the injectivity bound, the
 obstruction/degeneracy equivalence, the Hodge equality under a solvable
 obstruction, Serre symmetry of the full Dolbeault table) are enforced as
@@ -56,6 +79,8 @@ implementation bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import CenterDimensionError, StructureReport
@@ -97,12 +122,44 @@ def _homology(sizes: Dict, ranks: Dict, source) -> Dict:
     return {c: size - ranks.get(c, 0) - ranks.get(source(c), 0) for c, size in sizes.items()}
 
 
-def dolbeault_dims(cx: ExteriorComplex, max_total: Optional[int] = None) -> Dict[Tuple[int, int], int]:
-    """dim H^q(g^{p,0}) for every block with p + q <= max_total."""
+@lru_cache(maxsize=None)
+def _free_shapes(free_vecs: int, free_forms: int) -> Tuple[Tuple[int, int, int], ...]:
+    """(v, f, C(F_v, v) C(F_f, f)) for every v <= F_v and f <= F_f.
+
+    With F_v free vectors and F_f free forms, the multiplicity counts the
+    free monomials with v vectors and f forms.
+    """
+    return tuple((v, f, comb(free_vecs, v) * comb(free_forms, f))
+                 for v in range(free_vecs + 1) for f in range(free_forms + 1))
+
+
+def _dbar_rank(cx: ExteriorComplex, split, p: int, q: int) -> int:
+    """rank dbar|B^{p,q}, eliminated as a block; through the core when ``split`` is one.
+
+    ``split`` is ``cx.split(lam)`` or None.  B^{p,q} is the sum of
+    B^{p-v,q-f}(core) times the free monomials with v vectors and f forms,
+    and dbar acts on the core factor alone.
+    """
+    if split is None:
+        return cx.operator_block("dbar", p, q).rank()
+    core = split[0]
+    return sum(core.operator_block("dbar", p - v, q - f).rank() * mult
+               for v, f, mult in _free_shapes(split[1], split[2])
+               if 0 <= p - v <= core.n_vec and 0 <= q - f <= core.n_form)
+
+
+def dolbeault_dims(cx: ExteriorComplex, max_total: Optional[int] = None,
+                   lam: Optional[GradedElement] = None) -> Dict[Tuple[int, int], int]:
+    """dim H^q(g^{p,0}) for every block with p + q <= max_total.
+
+    The table does not depend on lam; a given lam routes the dbar ranks
+    through the core of L_lam, whose blocks its T_n reads as well.
+    """
     cap = degree_cap(cx, max_total)
+    split = None if lam is None else cx.split(lam)
     sizes = {(p, q): cx.block_dim(p, q) for p in range(min(cx.n, cap) + 1)
              for q in range(min(cx.n, cap - p) + 1)}
-    ranks = {block: cx.operator_block("dbar", *block).rank() for block in sizes}
+    ranks = {block: _dbar_rank(cx, split, *block) for block in sizes}
     return _homology(sizes, ranks, lambda block: (block[0], block[1] - 1))
 
 
@@ -111,8 +168,8 @@ def dolbeault_dims(cx: ExteriorComplex, max_total: Optional[int] = None) -> Dict
 
 def _degree_blocks(cx: ExteriorComplex, degree: int) -> List[Tuple[int, int]]:
     """Blocks of K^degree, polyvector degree descending (filtration order)."""
-    return [(p, degree - p) for p in range(min(degree, cx.n), -1, -1)
-            if degree - p <= cx.n]
+    lowest = max(degree - cx.n_form, 0)
+    return [(p, degree - p) for p in range(min(degree, cx.n_vec), lowest - 1, -1)]
 
 
 def _bands(cx: ExteriorComplex, blocks: Sequence[Tuple[int, int]]) -> List[int]:
@@ -170,14 +227,27 @@ def _pivot_counts(cx: ExteriorComplex, lam: GradedElement,
     """Pivots of T_degree = dbar + ad_Lambda per (row band, column band), memoized.
 
     One banded sweep of :func:`~nilpoisson.sparse.band_pivot_counts` over
-    :func:`total_operator`; see the module docstring for what the counts give.
+    :func:`total_operator`; see the module docstring for what the counts
+    give.  When L_Lambda has free generators, the sweeps run on its core
+    and each count of T_{degree-v-f}(core) is shifted by v in both bands
+    and multiplied by the number of free monomials with v vectors and f
+    forms.
     """
     key = (lam, degree)
     counts = cx.pivot_counts.get(key)
     if counts is None:
-        counts = band_pivot_counts(total_operator(cx, [lam], degree),
-                                   _bands(cx, _degree_blocks(cx, degree + 1)),
-                                   _bands(cx, _degree_blocks(cx, degree)))
+        split = cx.split(lam)
+        if split is None:
+            counts = band_pivot_counts(total_operator(cx, [lam], degree),
+                                       _bands(cx, _degree_blocks(cx, degree + 1)),
+                                       _bands(cx, _degree_blocks(cx, degree)))
+        else:
+            core, counts = split[0], {}
+            for v, f, mult in _free_shapes(split[1], split[2]):
+                if 0 <= degree - v - f < core.dim_l:   # T of the core's top degree is 0
+                    for (row, col), k in _pivot_counts(core, lam, degree - v - f).items():
+                        bands = (row + v, col + v)
+                        counts[bands] = counts.get(bands, 0) + k * mult
         cx.pivot_counts[key] = counts
     return counts
 
@@ -213,14 +283,16 @@ def first_page(cx: ExteriorComplex, lam: GradedElement,
     read from the banded pivot counts of T_n (see the module docstring).
     W(n,p,p+1) is rank dbar|B^{p,q}; it must equal the rank of that block
     on its own, eliminated independently for the Dolbeault table, or
-    ConsistencyError is raised.
+    ConsistencyError is raised.  Both sides go through L_lam's core when it
+    has one: its banded counts and its block ranks, each expanded.
     """
-    e1 = dolbeault_dims(cx, max_total)
+    e1 = dolbeault_dims(cx, max_total, lam)
+    split = cx.split(lam)
     d1_ranks: Dict[Tuple[int, int], int] = {}
     for (p, q) in e1:
         counts = _pivot_counts(cx, lam, p + q)
         dbar_rank = _window_rank(counts, p, p + 1)
-        block_rank = cx.operator_block("dbar", p, q).rank()
+        block_rank = _dbar_rank(cx, split, p, q)
         if dbar_rank != block_rank:
             raise ConsistencyError(
                 f"{cx.spec.name}, Lambda = {_render(cx, lam)}: dbar on B^{{{p},{q}}} has "
@@ -557,7 +629,7 @@ def analyze(cx: ExteriorComplex, lam: Optional[GradedElement] = None,
     cx.validate_poisson(lam)
     cap = degree_cap(cx, max_degree)
 
-    hpq = dolbeault_dims(cx, cap)
+    hpq = dolbeault_dims(cx, cap, lam)
     hn = total_cohomology(cx, lam, cap)
     page = first_page(cx, lam, cap)
     e2 = second_page(page)

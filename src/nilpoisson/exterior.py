@@ -25,15 +25,19 @@ Its hash runs over the canonical (monomial, coefficient triple) pairs,
 order-independently, so equal elements share every memo entry however
 they were built.
 
-Positions are arithmetic; no basis is materialised to find one.  The
-canonical basis of B^{p,q} runs over P in ``combinations(range(1, n+1), p)``
-outer and Q in ``combinations(range(1, n+1), q)`` inner, so X_P ^ wbar_Q
-sits at rank_p[P] * C(n, q) + rank_q[Q], where rank_k is the position of
-an ascending k-tuple in ``combinations`` order (its index in the
+Positions are arithmetic; no basis is materialised to find one.  A
+complex runs over a tuple of vector indices and a tuple of form indices,
+both 1..n for an algebra; the core of :meth:`ExteriorComplex.split` keeps
+only the generators that are not free.  The canonical basis of B^{p,q}
+runs over P in ``combinations(vector indices, p)`` outer and Q in
+``combinations(form indices, q)`` inner, so X_P ^ wbar_Q sits at
+rank_p[P] * C(n_form, q) + rank_q[Q], where rank_k is the position of an
+ascending k-tuple in ``combinations`` order on its side (its index in the
 combinatorial number system; Knuth, TAOCP Vol. 4A, 7.2.1.3).  Each rank_k
-is a dict of C(n, k) entries, built on first use of degree k and kept;
-block dimensions are the binomial products C(n,p) C(n,q), so sizing a
-degree never builds a table.  :meth:`ExteriorComplex.basis` still lists the
+is a dict, built on first use of degree k and kept, one per side (one
+for both when the sides run over the same indices); block dimensions are
+the binomial products C(n_vec, p) C(n_form, q), so sizing a degree never
+builds a table.  :meth:`ExteriorComplex.basis` still lists the
 monomials of a block, unmemoized, for callers that need them as objects;
 assembly never calls it.
 
@@ -82,6 +86,7 @@ coefficient-exactly.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -308,19 +313,15 @@ class ExteriorComplex:
     Values handed out are immutable; dbar blocks are memoized per (p, q),
     so Dolbeault tables, total cohomology and the obstruction checker
     share the same exact blocks.  ad blocks are rebuilt on request (from
-    memoized images); no computation asks for one twice.
+    memoized images); no computation asks for one twice.  A core from
+    :meth:`split` is an ExteriorComplex too, over fewer generators, with
+    its own bases and memos.
     """
 
     def __init__(self, spec: AlgebraSpec, report: Optional[StructureReport] = None):
         self.spec = spec
         self.report = report if report is not None else validate(spec)
         self.n = spec.n
-        self.dim_l = 2 * spec.n
-        self._ranks: Dict[int, Dict[Tuple[int, ...], int]] = {}   # degree -> rank table
-        self._blocks: Dict[Tuple[int, int], OperatorMatrix] = {}   # (p, q) -> dbar block
-        # every memo below is keyed by the multivector itself, None for dbar
-        self._images_memo: dict = {}   # (element, side, degree) -> per-monomial image terms
-        self.pivot_counts: dict = {}   # (Lambda, degree) -> banded pivot counts of T_degree
         # the generator tables, keyed by degree-1 monomials, each image a term
         # dict: dbar(X_j), and the row of nonzero brackets [g, h] of each
         # generator g, read as the images of ad_g
@@ -336,34 +337,60 @@ class ExteriorComplex:
             add_into(self._bracket_rows.setdefault(w_m, {}).setdefault(x_k, {}), w_j, bracket)
         # element (None for dbar) -> generator images
         self._derivations: dict = {None: dbar_images}
+        every = tuple(range(1, spec.n + 1))
+        self._bind(every, every)
+
+    def _bind(self, vec_indices: Tuple[int, ...], form_indices: Tuple[int, ...]) -> None:
+        """Set the generators the monomials run over, with empty memos for them."""
+        self.vec_indices, self.form_indices = vec_indices, form_indices
+        self.n_vec, self.n_form = len(vec_indices), len(form_indices)
+        self.dim_l = self.n_vec + self.n_form
+        # degree -> rank table, one dict of tables per side (one for both
+        # when the sides run over the same indices)
+        self._vec_ranks: Dict[int, Dict[Tuple[int, ...], int]] = {}
+        self._form_ranks = self._vec_ranks if form_indices == vec_indices else {}
+        self._blocks: Dict[Tuple[int, int], OperatorMatrix] = {}   # (p, q) -> dbar block
+        # every memo below is keyed by the multivector itself, None for dbar
+        self._images_memo: dict = {}   # (element, side, degree) -> per-monomial image terms
+        self.pivot_counts: dict = {}   # (Lambda, degree) -> banded pivot counts of T_degree
+        self._splits: dict = {}        # Lambda -> split(Lambda)
 
     # -- canonical bases ---------------------------------------------------
 
-    def _rank_table(self, degree: int) -> Dict[Tuple[int, ...], int]:
-        """{ascending index tuple: its position in ``combinations`` order}.
+    def _rank_table(self, side: str, degree: int) -> Dict[Tuple[int, ...], int]:
+        """{ascending index tuple: its position in ``combinations`` order}, on one side.
 
-        Built on the first use of ``degree`` and kept; empty outside 0..n.
-        Its keys, in order, are the ``combinations`` of that degree.
+        ``side`` "vec" runs over the vector indices and "form" over the form
+        indices.  Built on the first use of ``degree`` and kept; empty
+        outside 0..(number of indices).  Its keys, in order, are the
+        ``combinations`` of that degree.
         """
-        table = self._ranks.get(degree)
+        tables = self._vec_ranks if side == "vec" else self._form_ranks
+        table = tables.get(degree)
         if table is None:
-            tuples = combinations(range(1, self.n + 1), degree) if degree >= 0 else ()
-            table = self._ranks[degree] = {indices: i for i, indices in enumerate(tuples)}
+            indices = self.vec_indices if side == "vec" else self.form_indices
+            tuples = combinations(indices, degree) if degree >= 0 else ()
+            table = tables[degree] = {key: i for i, key in enumerate(tuples)}
         return table
 
     def basis(self, p: int, q: int) -> Tuple[Monomial, ...]:
-        """Canonical monomial basis of B^{p,q} (empty outside 0..n), built on each call."""
-        forms = self._rank_table(q)
-        return tuple(Monomial(vec, form) for vec in self._rank_table(p) for form in forms)
+        """Canonical monomial basis of B^{p,q}, built on each call.
+
+        Empty unless 0 <= p <= n_vec and 0 <= q <= n_form.
+        """
+        forms = self._rank_table("form", q)
+        return tuple(Monomial(vec, form) for vec in self._rank_table("vec", p) for form in forms)
 
     def basis_index(self, mono: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> int:
-        """Position of X_P ^ wbar_Q in ``basis(|P|, |Q|)``: rank_p[P] * C(n,q) + rank_q[Q]."""
+        """Position of X_P ^ wbar_Q in ``basis(|P|, |Q|)``: rank_p[P] * C(n_form,q) + rank_q[Q]."""
         vec, form = mono
-        forms = self._rank_table(len(form))
-        return self._rank_table(len(vec))[vec] * len(forms) + forms[form]
+        forms = self._rank_table("form", len(form))
+        return self._rank_table("vec", len(vec))[vec] * len(forms) + forms[form]
 
     def block_dim(self, p: int, q: int) -> int:
-        return comb(self.n, p) * comb(self.n, q) if p >= 0 and q >= 0 else 0
+        if p < 0 or q < 0:
+            return 0
+        return comb(self.n_vec, p) * comb(self.n_form, q)
 
     def k_dim(self, degree: int) -> int:
         return sum(self.block_dim(p, degree - p) for p in range(degree + 1))
@@ -446,6 +473,39 @@ class ExteriorComplex:
         if image:
             raise NotHolomorphic(f"dbar(Lambda) != 0 (has {len(image)} terms)")
 
+    # -- free generators ---------------------------------------------------------
+
+    def split(self, lam: GradedElement) -> Optional[Tuple["ExteriorComplex", int, int]]:
+        """(core, free vectors, free forms) of L_lam; None when no generator is free.
+
+        A generator is free when neither dbar nor ad_lam has an image on it
+        and it occurs in no image of a generator; read off the two memoized
+        generator tables, so the cost is that of the structure constants.
+        The core is a complex over the other generators.  It shares this
+        complex's spec, report and generator tables and keeps its own bases
+        and memos; no generator of it is free.  Memoized per lam.
+        """
+        try:
+            return self._splits[lam]
+        except KeyError:
+            pass
+        vecs, forms = set(), set()
+        for table in (self._derivation(None), self._derivation(lam)):
+            for generator, image in table.items():
+                for mono in (generator, *image):
+                    vecs.update(mono.vec)
+                    forms.update(mono.form)
+        core_vecs = tuple(i for i in self.vec_indices if i in vecs)
+        core_forms = tuple(i for i in self.form_indices if i in forms)
+        split = None
+        if core_vecs != self.vec_indices or core_forms != self.form_indices:
+            core = copy.copy(self)   # shares spec, report and the generator tables
+            core._bind(core_vecs, core_forms)
+            core._splits[lam] = None
+            split = (core, self.n_vec - core.n_vec, self.n_form - core.n_form)
+        self._splits[lam] = split
+        return split
+
     # -- block assembly ----------------------------------------------------------
 
     def _images(self, element: Optional[GradedElement], side: str,
@@ -466,13 +526,13 @@ class ExteriorComplex:
         images = self._derivation(element)
         ranks = self._rank_table
         table = []
-        for indices in ranks(degree):
+        for indices in ranks(side, degree):
             mono = Monomial(indices, ()) if side == "vec" else Monomial((), indices)
             terms = self._derive(images, ((mono, ONE),), {}).items()
             if side == "vec":
-                table.append(tuple((f, ranks(len(v))[v], c, -c) for (v, f), c in terms))
+                table.append(tuple((f, ranks("vec", len(v))[v], c, -c) for (v, f), c in terms))
             else:
-                table.append(tuple((v, ranks(len(f))[f], c, -c) for (v, f), c in terms))
+                table.append(tuple((v, ranks("form", len(f))[f], c, -c) for (v, f), c in terms))
         cached = self._images_memo[memo_key] = tuple(table)
         return cached
 
@@ -504,9 +564,10 @@ class ExteriorComplex:
         n_cols = self.block_dim(p, q)
         entries: Dict[Tuple[int, int], GaussianRational] = {}
         if n_cols:
-            vec_rank, form_rank = self._rank_table(target[0]), self._rank_table(target[1])
+            vec_rank = self._rank_table("vec", target[0])
+            form_rank = self._rank_table("form", target[1])
             stride = len(form_rank)
-            forms = self._rank_table(q)
+            forms = self._rank_table("form", q)
             vec_images = self._images(element, "vec", p)
             form_images = self._images(element, "form", q)
             # D is odd when it adds an odd degree: dbar, and ad_E with |E| even
@@ -514,7 +575,7 @@ class ExteriorComplex:
             # columns run in basis(p, q) order: P outer, Q inner; the row of
             # X_P' ^ wbar_Q' is vec_rank[P'] * stride + form_rank[Q']
             col = 0
-            for vec, vec_terms in zip(self._rank_table(p), vec_images):
+            for vec, vec_terms in zip(self._rank_table("vec", p), vec_images):
                 heads = [(rank * stride, f, c, neg) for f, rank, c, neg in vec_terms]
                 for form, form_terms in zip(forms, form_images):
                     # D(X_P) ^ wbar_Q

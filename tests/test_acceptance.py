@@ -282,3 +282,22 @@ def test_criterion_8_scale_runtime(capsys):
     assert payload["hodge"] is True
     assert payload["hn_lambda"]["1"] == 11          # (n+2) + (2n+3) at n = 2
     print(f"criterion 8: PASS (w4n6:2 analysis in {elapsed:.1f}s)")
+
+
+def test_criterion_9_full_degree_on_w4n6_4(capsys):
+    """w4n6:4 with Lambda = V^T1 (2^22 monomials) at full degree 22, under 5
+    seconds: 9 of the 22 generators of L_Lambda are free, so only the core is
+    eliminated.  H^n is palindromic, peaks at h^11 = 289632, and the full
+    Dolbeault table sums to 1,892,352."""
+    start = time.perf_counter()
+    payload = run_cli_json(capsys, "analyze", "w4n6:4", "--poisson", "V^T1",
+                           "--max-degree", "22", "--json")
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"took {elapsed:.1f}s"
+    hn = [payload["hn_lambda"][str(n)] for n in range(23)]
+    assert hn == hn[::-1]
+    assert hn[:12] == [1, 16, 141, 840, 3675, 12432, 33607, 74152, 135480, 207040, 266392,
+                       289632]
+    assert sum(payload["hpq"].values()) == 1892352
+    assert payload["degeneracy"] is False and payload["hodge"] is False
+    print(f"criterion 9: PASS (w4n6:4 at full degree in {elapsed:.2f}s)")

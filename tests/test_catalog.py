@@ -1,6 +1,7 @@
 """Catalog families, the spec-file format, and catalog invariants."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -182,7 +183,7 @@ def test_parse_rejects_a_name_that_is_not_a_string(value, shown):
     text = json.dumps({"name": value, "n": 1, "labels": ["X1"]})
     with pytest.raises(SpecFormatError) as info:
         parse_spec(text)
-    assert str(info.value) == f"'name' must be a string, got {shown}"
+    assert str(info.value) == f"'name' must be a string, got {shown!r}"
 
 
 @pytest.mark.parametrize("part", ["re", "im"])
@@ -195,7 +196,25 @@ def test_parse_rejects_a_rational_that_is_not_a_string(part, value, shown):
     with pytest.raises(SpecFormatError) as info:
         parse_spec(text)
     assert str(info.value) == (
-        f"constants[0]: '{part}' must be a 'p' or 'p/q' string, got {shown}")
+        f"constants[0]: '{part}' must be a 'p' or 'p/q' string, got {shown!r}")
+
+
+def test_parse_rejects_an_integer_longer_than_int_reads():
+    limit = sys.get_int_max_str_digits()
+    text = '{"name": "x", "n": ' + "1" * (limit + 1) + ', "labels": ["X1"]}'
+    with pytest.raises(SpecFormatError) as info:
+        parse_spec(text)
+    assert str(info.value) == f"invalid JSON: a number has more than {limit} digits"
+
+
+def test_parse_quotes_unknown_field_names_and_cuts_long_ones():
+    item = {"k": 1, "j": 1, "m": 2, "re": "1", "zz": 0, "yy": 0}
+    with pytest.raises(SpecFormatError) as info:
+        parse_spec(json.dumps({"name": "x", "n": 2, "labels": ["A", "B"], "constants": [item]}))
+    assert str(info.value) == "constants[0]: unknown field(s) 'yy, zz'"
+    with pytest.raises(SpecFormatError) as info:
+        parse_spec(json.dumps({"name": "x", "n": 1, "labels": ["X1"], "y" * 5000: 0}))
+    assert str(info.value) == f"unknown field(s): '{'y' * 77}...'"
 
 
 @pytest.mark.parametrize("value", ["٣", "３", "1/٤"], ids=ascii)

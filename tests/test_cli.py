@@ -531,10 +531,10 @@ def test_spec_values_that_are_not_strings_exit_1(capsys, tmp_path, field, shown)
     assert code == 1
     assert out == ""
     if field == "name":
-        assert err == f"error: {bad}: 'name' must be a string, got {shown}\n"
+        assert err == f"error: {bad}: 'name' must be a string, got {shown!r}\n"
     else:
         assert err == (f"error: {bad}: constants[0]: '{field}' must be a 'p' or 'p/q' "
-                       f"string, got {shown}\n")
+                       f"string, got {shown!r}\n")
 
 
 @pytest.mark.parametrize("value", ["٣", "３", "1/٤"], ids=ascii)
@@ -585,14 +585,23 @@ def test_numbers_longer_than_int_reads_exit_1(capsys, tmp_path):
     ("catalog", "emit", "Q" * 5000),
     ("catalog", "emit", "Q" * 5000 + ":1"),
     ("validate", "re.json"),
-], ids=["validate", "poisson", "emit", "emit-family", "spec-rational"])
+    ("validate", "n.json"),
+    ("validate", "field.json"),
+    ("validate", "constant-field.json"),
+], ids=["validate", "poisson", "emit", "emit-family", "spec-rational", "spec-n-digits",
+        "spec-field", "spec-constant-field"])
 def test_over_long_user_text_gives_one_short_error_line(capsys, monkeypatch, tmp_path, argv):
     """Every echo of a user's text is quoted by one rule, so a 5000-character
-    target, label, catalog name or spec rational gives one short error line."""
+    target, label, catalog name, spec rational or spec field name gives one
+    short error line; so does a spec integer longer than int() reads."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "re.json").write_text(json.dumps({"name": "x", "n": 3, "labels": ["A", "B", "C"],
-                                                  "constants": [{"k": 1, "j": 2, "m": 3,
-                                                                 "re": "x" * 5000}]}))
+    item = {"k": 1, "j": 2, "m": 3}
+    spec = {"name": "x", "n": 3, "labels": ["A", "B", "C"]}
+    (tmp_path / "re.json").write_text(json.dumps({**spec, "constants": [{**item, "re": "x" * 5000}]}))
+    (tmp_path / "n.json").write_text(json.dumps(spec).replace('"n": 3', '"n": ' + "1" * 5000))
+    (tmp_path / "field.json").write_text(json.dumps({**spec, "y" * 5000: 1}))
+    (tmp_path / "constant-field.json").write_text(
+        json.dumps({**spec, "constants": [{**item, "y" * 5000: 1}]}))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

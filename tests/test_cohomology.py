@@ -22,7 +22,7 @@ from nilpoisson import (AlgebraSpec, CenterDimensionError, ExpressionContext,
                         deformed_complex, dolbeault_dims, first_page, hodge_verdict,
                         kernel_vectors, obstruction, parse_catalog_name,
                         parse_multivector, rank, second_page, solve, total_cohomology,
-                        wedge)
+                        total_operator, wedge)
 from nilpoisson.catalog import (double_heisenberg, heisenberg_ext, p_family, torus,
                                 w_family)
 from nilpoisson.cohomology import ConsistencyError, NotIntegrable, ObstructionInputError
@@ -236,6 +236,60 @@ def test_band_counts_match_the_stitched_windows_on_random_two_step(cx, data):
     lam = wedge(V(cx.n), t)
     cx.validate_poisson(lam)
     _assert_band_counts_match_stitched_windows(cx, lam, cx.dim_l)
+
+
+# -- free generators: the factored route against the whole complex -----------------
+
+
+def _assert_factored_route_matches_the_whole_route(cx, lam, cap):
+    """The core's expanded counts equal one sweep over the whole T_n, and the
+    Dolbeault table through the core equals the whole dbar blocks' ranks."""
+    from nilpoisson.cohomology import _bands, _degree_blocks, _pivot_counts
+    from nilpoisson.sparse import band_pivot_counts
+
+    assert cx.split(lam) is not None   # the route under test is the factored one
+    for n in range(cap + 1):
+        whole = band_pivot_counts(total_operator(cx, [lam], n),
+                                  _bands(cx, _degree_blocks(cx, n + 1)),
+                                  _bands(cx, _degree_blocks(cx, n)))
+        assert _pivot_counts(cx, lam, n) == whole, n
+    ranks = {(p, q): cx.operator_block("dbar", p, q).rank()
+             for p in range(cx.n + 1) for q in range(cx.n + 1) if p + q <= cap}
+    assert dolbeault_dims(cx, cap, lam) == {
+        (p, q): cx.block_dim(p, q) - rank - ranks.get((p, q - 1), 0)
+        for (p, q), rank in ranks.items()}
+
+
+@pytest.mark.parametrize("name, expr, cap", [
+    ("w4n6:0", "V^T1", None), ("w4n6:1", "V^T1", None), ("w4n6:2", "V^T1", None),
+    ("w4n6:3", "V^T1", None), ("w4n6:4", "V^T1", 6), ("torus:3", "X1^X3", None),
+])
+def test_factored_counts_match_the_whole_complex(name, expr, cap):
+    cx = ExteriorComplex(parse_catalog_name(name))
+    lam = _parse(cx, expr)
+    core, free_vecs, free_forms = cx.split(lam)
+    if name.startswith("w4n6"):   # 2k+1 of the 4k+6 generators are free
+        assert free_vecs + free_forms == cx.n - 2
+    else:                         # every generator of a torus is free
+        assert core.dim_l == 0 and (free_vecs, free_forms) == (3, 3)
+    _assert_factored_route_matches_the_whole_route(cx, lam, cx.dim_l if cap is None else cap)
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cx=_two_step_complexes(), extra=st.integers(min_value=1, max_value=2), data=st.data())
+def test_factored_counts_match_the_whole_complex_with_a_torus_factor(cx, extra, data):
+    """A random 2-step algebra times a torus: the torus generators are free."""
+    spec = cx.spec
+    n = spec.n + extra
+    labels = spec.labels + tuple(f"Z{i}" for i in range(1, extra + 1))
+    cx = ExteriorComplex(AlgebraSpec("random-2step-torus", n, labels, spec.constants))
+    t = GradedElement()
+    for i in [*range(1, spec.n), *range(spec.n + 1, n + 1)]:
+        t = t + V(i) * data.draw(_small_scalars)
+    lam = wedge(V(spec.n), t)
+    cx.validate_poisson(lam)
+    _assert_factored_route_matches_the_whole_route(cx, lam, cx.dim_l)
 
 
 # -- obstruction --------------------------------------------------------------------
@@ -602,8 +656,10 @@ def _assert_as_if_checked(matrix):
 def test_unchecked_matrices_hold_only_in_range_nonzero_entries(monkeypatch):
     """Blocks, total operators and delta^2 products skip the constructor's checks.
 
-    So every one of them, on an analysis at full degree and on a deformation,
-    must pass those checks when rebuilt through ``SparseMatrix(rows, cols, entries)``.
+    So every one of them, on two analyses at full degree (one through the
+    core of L_Lambda, one on a complex with no free generator) and on a
+    deformation, must pass those checks when rebuilt through
+    ``SparseMatrix(rows, cols, entries)``.
     """
     import nilpoisson.cohomology as cohomology
 
@@ -621,15 +677,21 @@ def test_unchecked_matrices_hold_only_in_range_nonzero_entries(monkeypatch):
     monkeypatch.setattr(SparseMatrix, "__matmul__", recording(SparseMatrix.__matmul__, products))
 
     cx = ExteriorComplex(parse_catalog_name("w4n6:1"))
-    analyze(cx, _parse(cx, "V^T1"), max_degree=cx.dim_l)
+    lam = _parse(cx, "V^T1")
+    analyze(cx, lam, max_degree=cx.dim_l)
     deform_cx = ExteriorComplex(parse_catalog_name("p4n2:2"))
+    analyze(deform_cx, _parse(deform_cx, "V^T2"), max_degree=deform_cx.dim_l)
     deformed_complex(deform_cx, _parse(deform_cx, "V^T2"),
                      _parse(deform_cx, "rho_bar^w1_bar"))
 
-    # T_0..T_10 of the analysis, T_0..T_6 and the six delta^2 products of the deformation
-    assert len(operators) == 11 + 7 and len(products) == 6
+    # T_0..T_6 of the core of L_Lambda (7 of w4n6:1's 10 generators),
+    # T_0..T_10 of p4n2:2, whose L_Lambda has no free generator, and
+    # T_0..T_6 and the six delta^2 products of the deformation
+    core, _, _ = cx.split(lam)
+    assert core.dim_l == 7 and deform_cx.split(_parse(deform_cx, "V^T2")) is None
+    assert len(operators) == 7 + 11 + 7 and len(products) == 6
     assert sum(m.nnz() for m in operators) > 1000
-    blocks = [block.matrix for c in (cx, deform_cx) for block in c._blocks.values()]
+    blocks = [block.matrix for c in (cx, core, deform_cx) for block in c._blocks.values()]
     assert len(blocks) > 50
     for matrix in blocks + operators + products:
         _assert_as_if_checked(matrix)
@@ -641,8 +703,8 @@ def test_equal_multivectors_share_one_memo_entry():
     The same Lambda parsed from text, wedged with its terms in the other
     order and scaled by Fraction(2, 4) instead of 1/2, and built from a dict
     of plain int and Fraction coefficients hashes equal, gets an equal
-    block (ad blocks are not kept) and reuses one image table and one
-    pivot-count entry.
+    block (ad blocks are not kept) and reuses one image table, one
+    pivot-count entry and one core, whose memos do not grow either.
     """
     from nilpoisson.cohomology import _pivot_counts
     from nilpoisson.exterior import Monomial
@@ -658,14 +720,19 @@ def test_equal_multivectors_share_one_memo_entry():
 
     block = cx.operator_block("ad", 1, 1, parsed)
     counts = _pivot_counts(cx, parsed, 3)
-    memo_sizes = (len(cx._blocks), len(cx._images_memo), len(cx._derivations),
-                  len(cx.pivot_counts))
+    core, _, _ = cx.split(parsed)   # the counts come from the core of L_Lambda
+
+    def memo_sizes():
+        return [(len(c._blocks), len(c._images_memo), len(c._derivations),
+                 len(c.pivot_counts), len(c._splits)) for c in (cx, core)]
+
+    before = memo_sizes()
     for other in (built, from_dict):
         assert cx.operator_block("ad", 1, 1, other) == block
         assert _pivot_counts(cx, other, 3) is counts
-    assert (len(cx._blocks), len(cx._images_memo), len(cx._derivations),
-            len(cx.pivot_counts)) == memo_sizes
-    assert len(cx._derivations) == 2   # dbar's images and Lambda's
+        assert cx.split(other)[0] is core
+    assert memo_sizes() == before
+    assert len(cx._derivations) == 2   # dbar's images and Lambda's, shared with the core
 
 
 # -- deformation ----------------------------------------------------------------------
