@@ -138,14 +138,21 @@ def _dbar_rank(cx: ExteriorComplex, split, p: int, q: int) -> int:
 
     ``split`` is ``cx.split(lam)`` or None.  B^{p,q} is the sum of
     B^{p-v,q-f}(core) times the free monomials with v vectors and f forms,
-    and dbar acts on the core factor alone.
+    and dbar acts on the core factor alone.  The rank does not depend on
+    the route, so it is memoized per (p, q) on ``cx``.
     """
-    if split is None:
-        return cx.operator_block("dbar", p, q).rank()
-    core = split[0]
-    return sum(core.operator_block("dbar", p - v, q - f).rank() * mult
-               for v, f, mult in _free_shapes(split[1], split[2])
-               if 0 <= p - v <= core.n_vec and 0 <= q - f <= core.n_form)
+    ranks = cx.dbar_ranks
+    block_rank = ranks.get((p, q))
+    if block_rank is None:
+        if split is None:
+            block_rank = cx.operator_block("dbar", p, q).rank()
+        else:
+            core = split[0]
+            block_rank = sum(core.operator_block("dbar", p - v, q - f).rank() * mult
+                             for v, f, mult in _free_shapes(split[1], split[2])
+                             if 0 <= p - v <= core.n_vec and 0 <= q - f <= core.n_form)
+        ranks[(p, q)] = block_rank
+    return block_rank
 
 
 def dolbeault_dims(cx: ExteriorComplex, max_total: Optional[int] = None,

@@ -23,7 +23,7 @@ images, image tables and the banded pivot counts of
 :mod:`nilpoisson.cohomology` are all keyed by the :class:`GradedElement`.
 Its hash runs over the canonical (monomial, coefficient triple) pairs,
 order-independently, so equal elements share every memo entry however
-they were built.
+they were built; it is computed on the first lookup and kept.
 
 Positions are arithmetic; no basis is materialised to find one.  A
 complex runs over a tuple of vector indices and a tuple of form indices,
@@ -65,13 +65,21 @@ Blocks are assembled factorised.  For D = dbar or D = ad_E, of parity e,
 
 where e is the parity of the degree D adds: odd for dbar and for ad_E
 with |E| even.  So a block needs only the C(n,p) images D(X_P) and the
-C(n,q) images D(wbar_Q) (all zero for dbar).  These are memoized per
-(operator, side, degree), each coefficient stored beside its negation.
-A column is then a merge of each D(X_P) term's forms with Q and of P with
-each D(wbar_Q) term's vectors, and the row is the position rule above;
-entries are added only where the two parts share a row.  Every entry is
-nonzero and in range by construction, so blocks wrap their entry dict
-without a check.
+C(n,q) images D(wbar_Q).  These are memoized per (operator, side,
+degree), each coefficient stored beside its negation; on a side where D
+has no generator image they are all empty and nothing is derived
+(dbar(wbar^m) = 0, [Lambda, X_i] = 0 for a bivector Lambda, and
+[Omega_bar, wbar^m] = 0 for a (0,2) Omega_bar).  A term of D(X_P) meets
+every wbar_Q that misses its forms f, at the row of f + Q, and a term of
+D(wbar_Q) meets every X_P that misses its vectors v, at the row of P + v.
+Both merges come from a wedge table, memoized per complex and keyed by
+(side, part, degree): for every index tuple of that degree on that side
+that misses the part, its position, the rank-table position of the
+merged tuple and the merge sign.  The block loop is then lookups only,
+with no merge: the D(X_P) ^ wbar_Q entries are set, since each head term
+meets a Q at its own row, and the X_P ^ D(wbar_Q) entries are added onto
+them.  Every entry is nonzero and in range by construction, so blocks
+wrap their entry dict without a check.
 
 The positional route and the block loop stay separate on purpose:
 ``dbar`` and ``schouten`` never call ``_images`` or ``operator_block``, so
@@ -172,10 +180,11 @@ Terms = Dict[Monomial, GaussianRational]   # a linear combination, no zero coeff
 class GradedElement:
     """A finite linear combination of canonical monomials, no zero terms.
 
-    Immutable by convention: an element is hashed and kept as a memo key.
+    Immutable by convention: an element is hashed and kept as a memo key,
+    and its hash is computed on the first call and kept.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Optional[Dict[Monomial, Coefficient]] = None):
         data: Terms = {}
@@ -184,6 +193,7 @@ class GradedElement:
                 if coeff:
                     data[mono] = _as_scalar(coeff)
         self._terms = data
+        self._hash = None
 
     # -- constructors -----------------------------------------------------
 
@@ -248,7 +258,9 @@ class GradedElement:
     def __hash__(self):
         # order-independent over the canonical triples, which hash as plain
         # int tuples (a real GaussianRational hashes through Fraction)
-        return hash(frozenset((m, c.triple) for m, c in self._terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset((m, c.triple) for m, c in self._terms.items()))
+        return self._hash
 
     def __repr__(self):
         if not self._terms:
@@ -264,6 +276,7 @@ def _element(terms: Terms) -> GradedElement:
     """Wrap a term dict that holds no zero coefficient, without copying it."""
     out = GradedElement.__new__(GradedElement)
     out._terms = terms
+    out._hash = None
     return out
 
 
@@ -352,7 +365,9 @@ class ExteriorComplex:
         self._blocks: Dict[Tuple[int, int], OperatorMatrix] = {}   # (p, q) -> dbar block
         # every memo below is keyed by the multivector itself, None for dbar
         self._images_memo: dict = {}   # (element, side, degree) -> per-monomial image terms
+        self._wedges: dict = {}        # (side, part, degree) -> wedge table
         self.pivot_counts: dict = {}   # (Lambda, degree) -> banded pivot counts of T_degree
+        self.dbar_ranks: dict = {}     # (p, q) -> rank of dbar on B^{p,q}, eliminated blockwise
         self._splits: dict = {}        # Lambda -> split(Lambda)
 
     # -- canonical bases ---------------------------------------------------
@@ -517,7 +532,8 @@ class ExteriorComplex:
         image's terms as (part, rank, coeff, -coeff): ``part`` is the side a
         column merges with its own indices (the forms of D(X_P), the vectors
         of D(wbar_Q)) and ``rank`` the rank-table position of the other side.
-        Memoized per (element, side, degree).
+        Every entry is empty, and nothing is derived, when D has no image
+        on a generator of the side.  Memoized per (element, side, degree).
         """
         memo_key = (element, side, degree)
         cached = self._images_memo.get(memo_key)
@@ -525,6 +541,9 @@ class ExteriorComplex:
             return cached
         images = self._derivation(element)
         ranks = self._rank_table
+        if not any(generator.vec if side == "vec" else generator.form for generator in images):
+            cached = self._images_memo[memo_key] = ((),) * len(ranks(side, degree))
+            return cached
         table = []
         for indices in ranks(side, degree):
             mono = Monomial(indices, ()) if side == "vec" else Monomial((), indices)
@@ -535,6 +554,29 @@ class ExteriorComplex:
                 table.append(tuple((v, ranks("form", len(f))[f], c, -c) for (v, f), c in terms))
         cached = self._images_memo[memo_key] = tuple(table)
         return cached
+
+    def _wedge_table(self, side: str, part: Tuple[int, ...],
+                     degree: int) -> Tuple[Tuple[int, int, bool], ...]:
+        """(position, merged position, sign > 0) for every index tuple of one degree.
+
+        Lists the tuples of ``degree`` on one side, in ``combinations``
+        order, that miss ``part``, merged as part + Q on side "form" (the
+        D(X_P) ^ wbar_Q term) and as P + part on side "vec" (the
+        X_P ^ D(wbar_Q) term); the merged position is in the rank table of
+        degree + |part| on the same side.  Memoized per (side, part, degree).
+        """
+        key = (side, part, degree)
+        table = self._wedges.get(key)
+        if table is None:
+            merged_ranks = self._rank_table(side, degree + len(part))
+            rows = []
+            for pos, indices in enumerate(self._rank_table(side, degree)):
+                merged = (_merge_ascending(part, indices) if side == "form"
+                          else _merge_ascending(indices, part))
+                if merged is not None:
+                    rows.append((pos, merged_ranks[merged[0]], merged[1] > 0))
+            table = self._wedges[key] = tuple(rows)
+        return table
 
     def operator_block(self, kind: str, p: int, q: int,
                        element: Optional[GradedElement] = None) -> OperatorMatrix:
@@ -564,34 +606,36 @@ class ExteriorComplex:
         n_cols = self.block_dim(p, q)
         entries: Dict[Tuple[int, int], GaussianRational] = {}
         if n_cols:
-            vec_rank = self._rank_table("vec", target[0])
-            form_rank = self._rank_table("form", target[1])
-            stride = len(form_rank)
-            forms = self._rank_table("form", q)
-            vec_images = self._images(element, "vec", p)
-            form_images = self._images(element, "form", q)
+            # columns run in basis(p, q) order, P outer and Q inner, so X_P ^ wbar_Q
+            # is column P * n_forms + Q; the row of X_P' ^ wbar_Q' is
+            # P' * stride + Q', positions in the target's rank tables
+            n_forms = comb(self.n_form, q)
+            stride = comb(self.n_form, target[1])
+            wedges = self._wedge_table
+            # one int object per column, shared by the keys of its entries: a kept
+            # dbar block would otherwise hold one column int per entry
+            columns = tuple(range(n_cols))
+            # D(X_P) ^ wbar_Q: each head term meets Q at one row, so entries are set
+            for col0, vec_terms in zip(range(0, n_cols, n_forms), self._images(element, "vec", p)):
+                if not vec_terms:
+                    continue
+                cols = columns[col0:col0 + n_forms]
+                for f, rank, c, neg in vec_terms:
+                    base = rank * stride
+                    for qi, t, positive in wedges("form", f, q):
+                        entries[(base + t, cols[qi])] = c if positive else neg
+            # (-1)^{|P|} X_P ^ D(wbar_Q) when D is odd, added onto the rows both parts share;
             # D is odd when it adds an odd degree: dbar, and ad_E with |E| even
             hop = bool(p % 2 and (sum(target) - p - q) % 2)
-            # columns run in basis(p, q) order: P outer, Q inner; the row of
-            # X_P' ^ wbar_Q' is vec_rank[P'] * stride + form_rank[Q']
-            col = 0
-            for vec, vec_terms in zip(self._rank_table("vec", p), vec_images):
-                heads = [(rank * stride, f, c, neg) for f, rank, c, neg in vec_terms]
-                for form, form_terms in zip(forms, form_images):
-                    # D(X_P) ^ wbar_Q
-                    for base, f, c, neg in heads:
-                        merged = _merge_ascending(f, form)
-                        if merged is not None:
-                            entries[(base + form_rank[merged[0]], col)] = (
-                                c if merged[1] > 0 else neg)
-                    # (-1)^{|P|} X_P ^ D(wbar_Q) when D is odd
-                    for v, rank, c, neg in form_terms:
-                        merged = _merge_ascending(vec, v)
-                        if merged is None:
-                            continue
-                        add_into(entries, (vec_rank[merged[0]] * stride + rank, col),
-                                 c if (merged[1] > 0) != hop else neg)
-                    col += 1
+            for qi, form_terms in enumerate(self._images(element, "form", q)):
+                if not form_terms:
+                    continue
+                cols = columns[qi::n_forms]
+                for v, rank, c, neg in form_terms:
+                    plus, minus = (neg, c) if hop else (c, neg)
+                    for pi, t, positive in wedges("vec", v, p):
+                        add_into(entries, (t * stride + rank, cols[pi]),
+                                 plus if positive else minus)
         # entries are nonzero (set once per row, or through add_into) and in range
         block = OperatorMatrix(
             source=(p, q), target=target,

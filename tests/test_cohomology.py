@@ -292,6 +292,20 @@ def test_factored_counts_match_the_whole_complex_with_a_torus_factor(cx, extra, 
     _assert_factored_route_matches_the_whole_route(cx, lam, cx.dim_l)
 
 
+def test_second_dolbeault_table_asks_for_no_dbar_block(monkeypatch):
+    """The expanded dbar ranks are memoized per (p, q), so the table first_page
+    reads again comes from the ranks of the first pass."""
+    cx = ExteriorComplex(parse_catalog_name("w4n6:2"))
+    lam = _parse(cx, "V^T1")
+    table = dolbeault_dims(cx, 4, lam)
+    core, _, _ = cx.split(lam)
+    asked = []
+    for c in (cx, core):
+        monkeypatch.setattr(c, "operator_block", lambda *args: asked.append(args))
+    assert dolbeault_dims(cx, 4, lam) == table and not asked
+    assert set(cx.dbar_ranks) == set(table)
+
+
 # -- obstruction --------------------------------------------------------------------
 
 

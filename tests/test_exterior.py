@@ -121,6 +121,20 @@ def test_wedge_graded_commutative_and_associative(seed):
     assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
 
 
+def test_hash_is_kept_and_equal_elements_share_one_derivation_entry():
+    """Equal elements built in different orders hash equal; the hash is computed once."""
+    cx = ExteriorComplex(w_family(1))
+    v = GradedElement.vector(5)
+    summed = wedge(v, GradedElement.vector(1)) + wedge(v, GradedElement.vector(2)) * HALF
+    from_dict = GradedElement({Monomial((2, 5)): -HALF, Monomial((1, 5)): -1})
+    assert [mono for mono, _ in summed.terms()] != [mono for mono, _ in from_dict.terms()]
+    assert summed._hash is None and from_dict._hash is None
+    assert summed == from_dict and hash(summed) == hash(from_dict)
+    assert summed._hash == hash(summed) == hash(from_dict) == from_dict._hash
+    assert cx._derivation(summed) is cx._derivation(from_dict)
+    assert set(cx._derivations) == {None, summed}
+
+
 # -- dbar ---------------------------------------------------------------------
 
 
@@ -526,8 +540,8 @@ def _oracle_block(cx, kind, p, q, element=None):
 
 
 def _assert_blocks_match_oracle(cx, elements):
-    for p in range(cx.n + 1):
-        for q in range(cx.n + 1):
+    for p in range(cx.n_vec + 1):
+        for q in range(cx.n_form + 1):
             block = cx.operator_block("dbar", p, q)
             assert block.source == (p, q) and block.target == (p, q + 1)
             assert block.matrix == _oracle_block(cx, "dbar", p, q), ("dbar", p, q)
@@ -574,6 +588,25 @@ def test_operator_blocks_match_columnwise_oracle_on_catalog(name):
 def test_operator_blocks_match_columnwise_oracle_on_three_step(three_step_complex):
     cx = three_step_complex
     _assert_blocks_match_oracle(cx, _bracket_elements(random.Random(3), cx))
+
+
+def test_operator_blocks_match_columnwise_oracle_on_a_split_core():
+    """The core of w4n6:2 under V^T1 runs over unequal vector and form index tuples."""
+    cx = ExteriorComplex(parse_catalog_name("w4n6:2"))
+    lam = wedge(GradedElement.vector(7), GradedElement.vector(1))   # V ^ T1
+    core, _, _ = cx.split(lam)
+    assert core.vec_indices == (2, 4, 6, 7) and core.form_indices == (1, 2, 3, 5, 7)
+    _assert_blocks_match_oracle(core, [lam])
+
+
+def test_ad_blocks_of_a_two_form_match_columnwise_oracle():
+    """[Omega_bar, X_P] has two-form parts; [Omega_bar, wbar_Q] = 0 derives nothing."""
+    cx = ExteriorComplex(w_family(1))
+    omega = wedge(GradedElement.form(5), GradedElement.form(1))   # rho_bar ^ w1_bar
+    assert {mono.form for image in cx._derivation(omega).values() for mono in image} \
+        == {(1, 2), (1, 4)}
+    _assert_blocks_match_oracle(cx, [omega])
+    assert all(cx._images(omega, "form", q) == ((),) * comb(cx.n, q) for q in range(cx.n + 1))
 
 
 _small_scalars = st.builds(GaussianRational,
