@@ -59,6 +59,10 @@ T_{n-v-f}, shifted by v in both bands and multiplied by
 C(F_v, v) C(F_f, f), F_v and F_f the numbers of free vectors and forms;
 likewise rank dbar|B^{p,q} = sum rank dbar|B^{p-v,q-f}(core) C(F_v, v) C(F_f, f).
 On w4n6:k with Lambda = V ^ T1, 2k+1 of the 4k+6 generators are free.
+The deformed differential delta = T + ad_Omega_bar is an odd derivation
+too, so the same holds for L_{Lambda,Omega_bar}, unbanded: rank delta_n =
+sum rank delta_{n-v-f}(core) C(F_v, v) C(F_f, f), and each free generator
+adds a unit vector to the kernel on K^1.
 
 The Dolbeault table uses the same core.  A generator free for Lambda is
 free for dbar alone: on a generator g, dbar g and ad_Lambda g lie in
@@ -86,7 +90,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import CenterDimensionError, StructureReport
 from .expressions import ExpressionContext, format_multivector
 from .exterior import ExteriorComplex, GradedElement, Monomial, wedge
-from .rationals import ZERO, ConsistencyError, GaussianRational, InputError
+from .rationals import ONE, ZERO, ConsistencyError, GaussianRational, InputError
 from .sparse import (SparseMatrix, band_pivot_counts, independent_indices, kernel_vectors,
                      rank, solve)
 
@@ -488,11 +492,16 @@ def deformed_complex(cx: ExteriorComplex, lam: GradedElement, omega_bar: GradedE
 
     Omega_bar must be an integrable (0,2) class: dbar_Lambda(Omega_bar) = 0.
     [Omega_bar, Omega_bar] = 0 needs no check: [wbar^i, wbar^j] = 0 makes it
-    vanish for every (0,2) Omega_bar.  delta^2 = 0 is verified on every
-    pair of assembled operators T_n, T_{n+1} before any dimension is
-    reported; T_1 is assembled at every cap, cap 0 included, for the
-    kernel on K^1, and eliminated once: its rank is cols - dim ker.
-    Lambda is checked first with :meth:`ExteriorComplex.validate_poisson`.
+    vanish for every (0,2) Omega_bar.  Lambda is checked first with
+    :meth:`ExteriorComplex.validate_poisson`.  The operators T_n run on the
+    core of L_{Lambda,Omega_bar} (the whole complex when nothing is free),
+    and each rank is expanded over the free monomials as in
+    :func:`_pivot_counts`, without bands.  delta^2 = 0 is verified on every
+    pair of assembled core operators T_n, T_{n+1} before any dimension is
+    reported; T_1 is assembled at every cap, cap 0 included, for the kernel
+    on K^1, and eliminated once: its rank is cols - dim ker.  The kernel on
+    K^1 is the core's plus one unit vector per free generator, ordered by
+    free column as the RREF kernel of the whole T_1.
     """
     cx.validate_poisson(lam)
     if omega_bar.bidegrees() - {(0, 2)}:
@@ -503,8 +512,11 @@ def deformed_complex(cx: ExteriorComplex, lam: GradedElement, omega_bar: GradedE
         raise NotIntegrable("dbar_Lambda(Omega_bar) != 0")
 
     summands = [lam, omega_bar]
+    core, free_vecs, free_forms = cx.split(*summands) or (cx, 0, 0)
     cap = degree_cap(cx, max_degree)
-    operators = [total_operator(cx, summands, n) for n in range(max(cap, 1) + 1)]
+    # T of the core's top degree is 0
+    operators = [total_operator(core, summands, n)
+                 for n in range(max(min(cap, core.dim_l - 1), 1) + 1)]
     for n in range(len(operators) - 1):
         if not (operators[n + 1] @ operators[n]).is_zero():
             raise ConsistencyError(
@@ -512,14 +524,24 @@ def deformed_complex(cx: ExteriorComplex, lam: GradedElement, omega_bar: GradedE
                 f"{_render(cx, omega_bar)}: delta^2 != 0 between K^{n} and K^{n + 2}")
 
     kernel = kernel_vectors(operators[1])
-    ranks = {n: operators[1].cols - len(kernel) if n == 1 else rank(operators[n])
+    core_ranks = [operators[1].cols - len(kernel) if n == 1 else rank(matrix)
+                  for n, matrix in enumerate(operators)]
+    ranks = {n: sum(core_ranks[n - v - f] * mult
+                    for v, f, mult in _free_shapes(free_vecs, free_forms)
+                    if 0 <= n - v - f < len(core_ranks))
              for n in range(cap + 1)}
     dims = _homology({n: cx.k_dim(n) for n in ranks}, ranks, lambda n: n - 1)
 
-    flat_basis = [mono for block in _degree_blocks(cx, 1) for mono in cx.basis(*block)]
-    kernel_elements = tuple(GradedElement({flat_basis[i]: v for i, v in vec.items()})
-                            for vec in kernel)
-    return DeformationReport(dims=dims, k1_kernel=kernel_elements)
+    # the RREF kernel vector of a free column is zero past it; K^1 runs over
+    # X_1..X_n, then wbar^1..wbar^n, so (form, vec) sorts in column order
+    core_k1 = [mono for block in _degree_blocks(core, 1) for mono in core.basis(*block)]
+    by_column = [(core_k1[max(vec)], {core_k1[i]: v for i, v in vec.items()}) for vec in kernel]
+    by_column += [(mono, {mono: ONE}) for mono in (
+        *(Monomial((i,), ()) for i in cx.vec_indices if i not in core.vec_indices),
+        *(Monomial((), (i,)) for i in cx.form_indices if i not in core.form_indices))]
+    by_column.sort(key=lambda pair: (pair[0].form, pair[0].vec))
+    return DeformationReport(dims=dims,
+                             k1_kernel=tuple(GradedElement(terms) for _, terms in by_column))
 
 
 # -- full analysis ------------------------------------------------------------------

@@ -368,7 +368,7 @@ class ExteriorComplex:
         self._wedges: dict = {}        # (side, part, degree) -> wedge table
         self.pivot_counts: dict = {}   # (Lambda, degree) -> banded pivot counts of T_degree
         self.dbar_ranks: dict = {}     # (p, q) -> rank of dbar on B^{p,q}, eliminated blockwise
-        self._splits: dict = {}        # Lambda -> split(Lambda)
+        self._splits: dict = {}        # summands -> split(*summands)
 
     # -- canonical bases ---------------------------------------------------
 
@@ -490,22 +490,24 @@ class ExteriorComplex:
 
     # -- free generators ---------------------------------------------------------
 
-    def split(self, lam: GradedElement) -> Optional[Tuple["ExteriorComplex", int, int]]:
-        """(core, free vectors, free forms) of L_lam; None when no generator is free.
+    def split(self, *summands: GradedElement) -> Optional[Tuple["ExteriorComplex", int, int]]:
+        """(core, free vectors, free forms) of L_{summands}; None when no generator is free.
 
-        A generator is free when neither dbar nor ad_lam has an image on it
-        and it occurs in no image of a generator; read off the two memoized
-        generator tables, so the cost is that of the structure constants.
-        The core is a complex over the other generators.  It shares this
-        complex's spec, report and generator tables and keeps its own bases
-        and memos; no generator of it is free.  Memoized per lam.
+        Its differential is dbar + the ad_E of the summands, (Lambda,) or
+        (Lambda, Omega_bar).  A generator is free when neither dbar nor an
+        ad_E has an image on it and it occurs in no image of a generator;
+        read off the memoized generator tables, so the cost is that of the
+        structure constants.  The core is a complex over the other
+        generators.  It shares this complex's spec, report and generator
+        tables and keeps its own bases and memos; no generator of it is
+        free.  Memoized per summands.
         """
         try:
-            return self._splits[lam]
+            return self._splits[summands]
         except KeyError:
             pass
         vecs, forms = set(), set()
-        for table in (self._derivation(None), self._derivation(lam)):
+        for table in (self._derivation(None), *map(self._derivation, summands)):
             for generator, image in table.items():
                 for mono in (generator, *image):
                     vecs.update(mono.vec)
@@ -516,9 +518,9 @@ class ExteriorComplex:
         if core_vecs != self.vec_indices or core_forms != self.form_indices:
             core = copy.copy(self)   # shares spec, report and the generator tables
             core._bind(core_vecs, core_forms)
-            core._splits[lam] = None
+            core._splits[summands] = None
             split = (core, self.n_vec - core.n_vec, self.n_form - core.n_form)
-        self._splits[lam] = split
+        self._splits[summands] = split
         return split
 
     # -- block assembly ----------------------------------------------------------

@@ -76,7 +76,24 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``p`` or ``p/q`` (lowest terms, q > 0)."""
+    """Render a Fraction as ``p`` or ``p/q`` (lowest terms, q > 0).
+
+    An exact result is printed whole: when ``str()`` refuses a number of
+    more than :func:`sys.get_int_max_str_digits` digits, the limit is
+    lifted around this conversion only.
+    """
+    try:
+        return _plain(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return _plain(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def _plain(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -248,9 +265,8 @@ def _format_imaginary(im: Fraction) -> str:
         return "i"
     if im == -1:
         return "-i"
-    if im.denominator == 1:
-        return f"{im.numerator}i"
-    return f"{im.numerator}i/{im.denominator}"
+    num, _, den = format_rational(im).partition("/")
+    return f"{num}i/{den}" if den else f"{num}i"
 
 
 ZERO = GaussianRational(0)

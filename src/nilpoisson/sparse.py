@@ -79,10 +79,6 @@ class SparseMatrix:
         matrix.rows, matrix.cols, matrix.entries = rows, cols, entries
         return matrix
 
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, {(i, i): ONE for i in range(n)})
-
     # -- access -----------------------------------------------------------
 
     def entry(self, r: int, c: int) -> GaussianRational:

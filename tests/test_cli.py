@@ -579,6 +579,41 @@ def test_numbers_longer_than_int_reads_exit_1(capsys, tmp_path):
         assert run_cli(capsys, *argv) == (1, "", err_line + "\n")
 
 
+def test_exact_results_past_the_int_to_str_limit_print_whole(capsys, tmp_path):
+    """Products of admitted 3000-digit constants outgrow the digits str() writes;
+    the solution is printed whole, parses back to the solved X, and the limit
+    is left as it was."""
+    from nilpoisson import GradedElement, obstruction, parse_multivector
+    from nilpoisson.catalog import parse_spec
+    from nilpoisson.expressions import ExpressionContext
+
+    sevens, threes = "7" * 3000, "3" * 2998 + "31"
+    text = json.dumps({"name": "big", "n": 3, "labels": ["T1", "T2", "V"], "constants": [
+        {"k": 1, "j": 1, "m": 3, "re": "0", "im": f"-{sevens}/{threes}"},
+        {"k": 1, "j": 2, "m": 3, "re": f"{threes}/{sevens}", "im": "0"},
+        {"k": 2, "j": 2, "m": 3, "re": "0", "im": "-1/2"}]})
+    spec = tmp_path / "big.json"
+    spec.write_text(text)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "obstruction", str(spec), "--t", "T1")
+    assert (code, err) == (0, "") and sys.get_int_max_str_digits() == limit
+    code, report, err = run_cli(capsys, "analyze", str(spec), "--poisson", "V^T1",
+                                "--max-degree", "2", "--json")
+    assert (code, err) == (0, "")
+    solution = json.loads(report)["obstruction"]["solution"]
+    assert max(len(value) for value in solution.values()) > limit
+
+    cx = ExteriorComplex(parse_spec(text))
+    solved = obstruction(cx, GradedElement.vector(1)).solution
+    sys.set_int_max_str_digits(0)   # parsing still refuses numbers past the limit
+    try:
+        printed = parse_multivector(out.split("X = ", 1)[1], ExpressionContext(cx.spec, cx.report))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert printed == solved
+    assert solution == {cx.spec.label(mono.vec[0]): str(v) for mono, v in solved.terms()}
+
+
 @pytest.mark.parametrize("argv", [
     ("validate", "Q" * 5000),
     ("analyze", "w4n6:0", "--poisson", "Q" * 5000),
@@ -682,6 +717,27 @@ def test_deform_builds_only_the_k1_basis(capsys, monkeypatch):
                            "--omega", "rho_bar^w1_bar")
     assert code == 0 and "K^1" in out
     assert sorted(set(asked)) == [(0, 1), (1, 0)]
+
+
+def test_deform_assembles_only_core_operators(capsys, monkeypatch):
+    """One of w4n6:3's 18 generators is free in L_{Lambda,Omega_bar}, so every
+    T_n handed to total_operator has C(17, n) columns."""
+    from math import comb
+
+    from nilpoisson import cohomology
+
+    real, shapes = cohomology.total_operator, []
+
+    def recording(cx, summands, degree):
+        matrix = real(cx, summands, degree)
+        shapes.append((matrix.rows, matrix.cols))
+        return matrix
+
+    monkeypatch.setattr(cohomology, "total_operator", recording)
+    code, out, _ = run_cli(capsys, "deform", "w4n6:3", "--poisson", "V^T2",
+                           "--omega", "rho_bar^w1_bar", "--max-degree", "5", "--json")
+    assert code == 0 and json.loads(out)["dims"]["5"] == 2474
+    assert shapes == [(comb(17, n + 1), comb(17, n)) for n in range(6)]
 
 
 def test_leibniz_expansion_makes_one_wedge_per_position_and_image_term(capsys, monkeypatch):

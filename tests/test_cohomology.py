@@ -292,6 +292,75 @@ def test_factored_counts_match_the_whole_complex_with_a_torus_factor(cx, extra, 
     _assert_factored_route_matches_the_whole_route(cx, lam, cx.dim_l)
 
 
+def _assert_factored_deformation_matches_the_whole_route(cx, lam, omega, cap):
+    """deformed_complex, through the core of L_{Lambda,Omega_bar}, equals ranking
+    every whole T_n and eliminating the whole T_1 for its RREF kernel."""
+    from nilpoisson.cohomology import _degree_blocks
+
+    operators = [total_operator(cx, [lam, omega], n) for n in range(max(cap, 1) + 1)]
+    ranks = [rank(matrix) for matrix in operators]
+    flat_basis = [mono for block in _degree_blocks(cx, 1) for mono in cx.basis(*block)]
+    kernel = [GradedElement({flat_basis[i]: v for i, v in vec.items()})
+              for vec in kernel_vectors(operators[1])]
+    result = deformed_complex(cx, lam, omega, max_degree=cap)
+    assert result.dims == {n: cx.k_dim(n) - ranks[n] - (ranks[n - 1] if n else 0)
+                           for n in range(cap + 1)}
+    assert list(result.k1_kernel) == kernel
+    return result
+
+
+@pytest.mark.parametrize("name, lam, omega, cap, free", [
+    ("w4n6:0", "V^T2", "rho_bar^w1_bar", None, (0, 1)),
+    ("w4n6:1", "V^T2", "rho_bar^w1_bar", None, (0, 1)),
+    ("w4n6:2", "V^T2", "rho_bar^w1_bar", None, (0, 1)),
+    ("w4n6:3", "V^T2", "rho_bar^w1_bar", 5, (0, 1)),
+    ("w4n6:1", "V^T1", "w1_bar^w2_bar", None, (2, 1)),   # free T1 and T3 precede the forms
+    ("p4n2:2", "V^T2", "rho_bar^w1_bar", None, None),
+])
+def test_factored_deformation_matches_the_whole_complex(name, lam, omega, cap, free):
+    cx = ExteriorComplex(parse_catalog_name(name))
+    lam, omega = _parse(cx, lam), _parse(cx, omega)
+    split = cx.split(lam, omega)
+    assert (split and split[1:]) == free
+    _assert_factored_deformation_matches_the_whole_route(
+        cx, lam, omega, cx.dim_l if cap is None else cap)
+
+
+def test_deformation_on_an_empty_core():
+    """Every generator of a torus is free: the core has no generator and the
+    kernel on K^1 is the six unit vectors."""
+    cx = ExteriorComplex(torus(3))
+    lam, omega = wedge(V(1), V(2)), wedge(F(1), F(2))
+    assert cx.split(lam, omega)[0].dim_l == 0
+    result = _assert_factored_deformation_matches_the_whole_route(cx, lam, omega, cx.dim_l)
+    assert result.dims == {n: comb(6, n) for n in range(7)}
+    assert list(result.k1_kernel) == [V(1), V(2), V(3), F(1), F(2), F(3)]
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cx=_two_step_complexes(), extra=st.integers(min_value=1, max_value=2), data=st.data())
+def test_factored_deformation_matches_the_whole_complex_with_a_torus_factor(cx, extra, data):
+    """A random 2-step algebra times a torus, Omega_bar drawn from ker ad_Lambda on
+    B^{0,2} (dbar vanishes there): the torus vectors are free."""
+    spec = cx.spec
+    n = spec.n + extra
+    labels = spec.labels + tuple(f"Z{i}" for i in range(1, extra + 1))
+    cx = ExteriorComplex(AlgebraSpec("random-2step-torus", n, labels, spec.constants))
+    t = GradedElement()
+    for i in range(1, spec.n):
+        t = t + V(i) * data.draw(_small_scalars)
+    lam = wedge(V(spec.n), t)
+    cx.validate_poisson(lam)
+    forms = cx.basis(0, 2)
+    omega = GradedElement()
+    for vec in kernel_vectors(cx.operator_block("ad", 0, 2, lam).matrix):
+        omega = omega + GradedElement({forms[i]: v for i, v in vec.items()}) * data.draw(
+            _small_scalars)
+    assert cx.split(lam, omega) is not None
+    _assert_factored_deformation_matches_the_whole_route(cx, lam, omega, cx.dim_l)
+
+
 def test_second_dolbeault_table_asks_for_no_dbar_block(monkeypatch):
     """The expanded dbar ranks are memoized per (p, q), so the table first_page
     reads again comes from the ranks of the first pass."""
@@ -800,7 +869,8 @@ def test_deformation_kernel_scales_with_the_family():
 
 @pytest.mark.parametrize("cap", [1, 3, 6])
 def test_deformation_eliminates_t1_once(monkeypatch, w6_complex, cap):
-    """One kernel sweep of T_1 gives the K^1 kernel and rank T_1; ``rank`` never sees T_1.
+    """One kernel sweep of the core's T_1 gives the K^1 kernel and rank T_1;
+    ``rank`` sees only the core's other T_n, never T_1.
 
     The dimensions and the kernel equal those of ranking every T_n and
     eliminating T_1 a second time for its kernel.
@@ -824,8 +894,11 @@ def test_deformation_eliminates_t1_once(monkeypatch, w6_complex, cap):
 
     monkeypatch.setattr(cohomology, "rank", recording_rank)
     result = deformed_complex(cx, lam, omega, max_degree=cap)
-    assert len(shapes) == cap
-    assert (comb(2 * cx.n, 2), 2 * cx.n) not in shapes
+    # the core of L_{Lambda,Omega_bar} has 5 of the 6 generators, and its T_5 is 0
+    core, _, _ = cx.split(lam, omega)
+    assert core.dim_l == 5
+    assert shapes == [(core.k_dim(n + 1), core.k_dim(n)) for n in range(min(cap, 4) + 1) if n != 1]
+    assert (core.k_dim(2), core.k_dim(1)) not in shapes
     assert result.dims == dims
     assert list(result.k1_kernel) == kernel
 
