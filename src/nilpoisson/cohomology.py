@@ -3,7 +3,7 @@
 Everything here reduces to exact ranks of the memoized operator blocks:
 
 * Dolbeault dimensions  H^q(g^{p,0}) = dim ker dbar|B^{p,q} - rank dbar|B^{p,q-1},
-  through the core of L_Lambda when Lambda is given (see below);
+  through the core of L_Lambda, or of L_0 when no Lambda is given;
 * total cohomology of dbar_Lambda = dbar + ad_Lambda on K^n = sum_{p+q=n} B^{p,q}
   by exact rank of the total operator T_n -- the oracle every theorem-level
   claim is checked against;
@@ -53,24 +53,25 @@ image T h (:meth:`~nilpoisson.exterior.ExteriorComplex.split` reads this
 off the generator tables).  Then K = K(core) (x) Lambda(free), with
 T(a ^ m) = T(a) ^ m for every free monomial m, so T_n is block diagonal:
 one signed copy of T_{n-v-f}(core) per free monomial with v vectors and
-f forms, with both bands shifted by v.  Ranks and window ranks add over
-the copies, so the banded counts of T_n are the core's counts of
-T_{n-v-f}, shifted by v in both bands and multiplied by
-C(F_v, v) C(F_f, f), F_v and F_f the numbers of free vectors and forms;
-likewise rank dbar|B^{p,q} = sum rank dbar|B^{p-v,q-f}(core) C(F_v, v) C(F_f, f).
+f forms, with both bands shifted by v.  Ranks add over the copies, so
+every rank table is the core's expanded by one rule, ``_expand``: each
+entry moves with its copy and is multiplied by C(F_v, v) C(F_f, f), F_v
+and F_f the numbers of free vectors and forms.  A banded count moves
+(n, row, col) -> (n+v+f, row+v, col+v), a dbar rank (p, q) -> (p+v, q+f).
 On w4n6:k with Lambda = V ^ T1, 2k+1 of the 4k+6 generators are free.
 The deformed differential delta = T + ad_Omega_bar is an odd derivation
-too, so the same holds for L_{Lambda,Omega_bar}, unbanded: rank delta_n =
-sum rank delta_{n-v-f}(core) C(F_v, v) C(F_f, f), and each free generator
-adds a unit vector to the kernel on K^1.
+too, so the same holds for L_{Lambda,Omega_bar}, unbanded: rank delta_n
+moves n -> n+v+f, and each free generator adds a unit vector to the
+kernel on K^1.
 
 The Dolbeault table uses the same core.  A generator free for Lambda is
 free for dbar alone: on a generator g, dbar g and ad_Lambda g lie in
 different bidegrees (dbar raises q, ad_Lambda raises p), so T g = 0 forces
 both to vanish, and g occurs in T h exactly when it occurs in dbar h or
 in ad_Lambda h.  So the dbar blocks of the core serve both the Dolbeault
-table and T_n, and are assembled once.  When no generator is free, every
-route runs on the whole complex and no core is built.
+table and T_n, and are assembled once.  There is one route: the core
+sweeps and eliminates and the complex expands; with nothing free, the
+complex is its own core and F_v = F_f = 0.
 
 Dimension statements that are theorems (the injectivity bound, the
 obstruction/degeneracy equivalence, the Hodge equality under a solvable
@@ -83,7 +84,6 @@ implementation bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -126,51 +126,52 @@ def _homology(sizes: Dict, ranks: Dict, source) -> Dict:
     return {c: size - ranks.get(c, 0) - ranks.get(source(c), 0) for c, size in sizes.items()}
 
 
-@lru_cache(maxsize=None)
-def _free_shapes(free_vecs: int, free_forms: int) -> Tuple[Tuple[int, int, int], ...]:
-    """(v, f, C(F_v, v) C(F_f, f)) for every v <= F_v and f <= F_f.
+def _expand(table: Dict, free_vecs: int, free_forms: int, cap: int, move) -> Dict:
+    """A complex's table from its core's: each entry once per copy of the core.
 
-    With F_v free vectors and F_f free forms, the multiplicity counts the
-    free monomials with v vectors and f forms.
+    The copy times the free monomials with v vectors and f forms moves a
+    key to ``move(key, v, f)``, v + f degrees up; there are
+    C(F_v, v) C(F_f, f) of them.  Copies moved past ``cap`` are left out.
     """
-    return tuple((v, f, comb(free_vecs, v) * comb(free_forms, f))
-                 for v in range(free_vecs + 1) for f in range(free_forms + 1))
+    out: Dict = {}
+    for v in range(min(free_vecs, cap) + 1):
+        for f in range(min(free_forms, cap - v) + 1):
+            mult = comb(free_vecs, v) * comb(free_forms, f)
+            for key, value in table.items():
+                moved = move(key, v, f)
+                out[moved] = out.get(moved, 0) + value * mult
+    return out
 
 
-def _dbar_rank(cx: ExteriorComplex, split, p: int, q: int) -> int:
-    """rank dbar|B^{p,q}, eliminated as a block; through the core when ``split`` is one.
+def _dbar_ranks(cx: ExteriorComplex, lam: GradedElement, cap: int) -> Dict[Tuple[int, int], int]:
+    """rank dbar|B^{p,q}, complete for p + q <= cap; each core block eliminated alone.
 
-    ``split`` is ``cx.split(lam)`` or None.  B^{p,q} is the sum of
-    B^{p-v,q-f}(core) times the free monomials with v vectors and f forms,
-    and dbar acts on the core factor alone.  The rank does not depend on
-    the route, so it is memoized per (p, q) on ``cx``.
+    B^{p,q} is the sum of B^{p-v,q-f} of L_lam's core times the free
+    monomials with v vectors and f forms, and dbar acts on the core factor
+    alone.  Memoized per (lam, cap).
     """
-    ranks = cx.dbar_ranks
-    block_rank = ranks.get((p, q))
-    if block_rank is None:
-        if split is None:
-            block_rank = cx.operator_block("dbar", p, q).rank()
-        else:
-            core = split[0]
-            block_rank = sum(core.operator_block("dbar", p - v, q - f).rank() * mult
-                             for v, f, mult in _free_shapes(split[1], split[2])
-                             if 0 <= p - v <= core.n_vec and 0 <= q - f <= core.n_form)
-        ranks[(p, q)] = block_rank
-    return block_rank
+    key = ("dbar", lam, cap)
+    ranks = cx.tables.get(key)
+    if ranks is None:
+        core, free_vecs, free_forms = cx.split(lam)
+        ranks = cx.tables[key] = _expand(
+            {(p, q): core.operator_block("dbar", p, q).rank()
+             for p in range(min(core.n_vec, cap) + 1) for q in range(min(core.n_form, cap - p) + 1)},
+            free_vecs, free_forms, cap, lambda block, v, f: (block[0] + v, block[1] + f))
+    return ranks
 
 
 def dolbeault_dims(cx: ExteriorComplex, max_total: Optional[int] = None,
                    lam: Optional[GradedElement] = None) -> Dict[Tuple[int, int], int]:
     """dim H^q(g^{p,0}) for every block with p + q <= max_total.
 
-    The table does not depend on lam; a given lam routes the dbar ranks
-    through the core of L_lam, whose blocks its T_n reads as well.
+    The table does not depend on lam; the dbar ranks come from the core
+    of L_lam (L_0 without lam), whose blocks its T_n reads as well.
     """
     cap = degree_cap(cx, max_total)
-    split = None if lam is None else cx.split(lam)
     sizes = {(p, q): cx.block_dim(p, q) for p in range(min(cx.n, cap) + 1)
              for q in range(min(cx.n, cap - p) + 1)}
-    ranks = {block: _dbar_rank(cx, split, *block) for block in sizes}
+    ranks = _dbar_ranks(cx, GradedElement() if lam is None else lam, cap)
     return _homology(sizes, ranks, lambda block: (block[0], block[1] - 1))
 
 
@@ -233,46 +234,49 @@ def total_operator(cx: ExteriorComplex, summands: Sequence[GradedElement],
     return SparseMatrix._trusted(n_rows, col_base, entries)
 
 
-def _pivot_counts(cx: ExteriorComplex, lam: GradedElement,
-                  degree: int) -> Dict[Tuple[int, int], int]:
-    """Pivots of T_degree = dbar + ad_Lambda per (row band, column band), memoized.
-
-    One banded sweep of :func:`~nilpoisson.sparse.band_pivot_counts` over
-    :func:`total_operator`; see the module docstring for what the counts
-    give.  When L_Lambda has free generators, the sweeps run on its core
-    and each count of T_{degree-v-f}(core) is shifted by v in both bands
-    and multiplied by the number of free monomials with v vectors and f
-    forms.
-    """
+def _band_sweep(cx: ExteriorComplex, lam: GradedElement, degree: int) -> Dict[Tuple[int, int], int]:
+    """Pivots of cx's own T_degree per (row band, column band): one banded sweep, memoized."""
     key = (lam, degree)
     counts = cx.pivot_counts.get(key)
     if counts is None:
-        split = cx.split(lam)
-        if split is None:
-            counts = band_pivot_counts(total_operator(cx, [lam], degree),
-                                       _bands(cx, _degree_blocks(cx, degree + 1)),
-                                       _bands(cx, _degree_blocks(cx, degree)))
-        else:
-            core, counts = split[0], {}
-            for v, f, mult in _free_shapes(split[1], split[2]):
-                if 0 <= degree - v - f < core.dim_l:   # T of the core's top degree is 0
-                    for (row, col), k in _pivot_counts(core, lam, degree - v - f).items():
-                        bands = (row + v, col + v)
-                        counts[bands] = counts.get(bands, 0) + k * mult
-        cx.pivot_counts[key] = counts
+        counts = cx.pivot_counts[key] = band_pivot_counts(
+            total_operator(cx, [lam], degree), _bands(cx, _degree_blocks(cx, degree + 1)),
+            _bands(cx, _degree_blocks(cx, degree)))
     return counts
 
 
-def _window_rank(counts: Dict[Tuple[int, int], int], t: int, s: int) -> int:
-    """W(n, t, s): the rank of T_n from bands t..s-1 to bands t..s-1."""
-    return sum(k for (row, col), k in counts.items() if row < s and col >= t)
+def _pivot_counts(cx: ExteriorComplex, lam: GradedElement,
+                  cap: int) -> Dict[Tuple[int, int, int], int]:
+    """Pivots of T_n = dbar + ad_Lambda per (n, row band, column band), complete for n <= cap.
+
+    The core of L_lam sweeps its T_n for n < core.dim_l (its top T is 0),
+    and each count moves to degree n+v+f, both bands up by v; memoized per (lam, cap).
+    """
+    key = ("bands", lam, cap)
+    counts = cx.tables.get(key)
+    if counts is None:
+        core, free_vecs, free_forms = cx.split(lam)
+        counts = cx.tables[key] = _expand(
+            {(n, row, col): k for n in range(min(cap, core.dim_l - 1) + 1)
+             for (row, col), k in _band_sweep(core, lam, n).items()},
+            free_vecs, free_forms, cap, lambda key, v, f: (key[0] + v + f, key[1] + v, key[2] + v))
+    return counts
+
+
+def _window_rank(counts: Dict[Tuple[int, int, int], int], n: int, t: int, s: int) -> int:
+    """W(n, t, s): the rank of T_n from bands t..s-1 to bands t..s-1.
+
+    No pivot's row band is below its column band: T_n and the sweep never lower one.
+    """
+    return sum(counts.get((n, row, col), 0) for row in range(t, s) for col in range(t, row + 1))
 
 
 def total_cohomology(cx: ExteriorComplex, lam: GradedElement,
                      max_degree: Optional[int] = None) -> Dict[int, int]:
     """dim H^n of dbar_Lambda for n = 0..max_degree, by exact rank."""
     cap = degree_cap(cx, max_degree)
-    ranks = {n: sum(_pivot_counts(cx, lam, n).values()) for n in range(cap + 1)}
+    counts = _pivot_counts(cx, lam, cap)
+    ranks = {n: _window_rank(counts, n, 0, n + 2) for n in range(cap + 1)}   # all bands: rank T_n
     return _homology({n: cx.k_dim(n) for n in ranks}, ranks, lambda n: n - 1)
 
 
@@ -294,23 +298,23 @@ def first_page(cx: ExteriorComplex, lam: GradedElement,
     read from the banded pivot counts of T_n (see the module docstring).
     W(n,p,p+1) is rank dbar|B^{p,q}; it must equal the rank of that block
     on its own, eliminated independently for the Dolbeault table, or
-    ConsistencyError is raised.  Both sides go through L_lam's core when it
-    has one: its banded counts and its block ranks, each expanded.
+    ConsistencyError is raised.  Both sides come from L_lam's core: its
+    banded counts and its block ranks, each expanded.
     """
     e1 = dolbeault_dims(cx, max_total, lam)
-    split = cx.split(lam)
+    cap = degree_cap(cx, max_total)
+    counts, block_ranks = _pivot_counts(cx, lam, cap), _dbar_ranks(cx, lam, cap)
     d1_ranks: Dict[Tuple[int, int], int] = {}
     for (p, q) in e1:
-        counts = _pivot_counts(cx, lam, p + q)
-        dbar_rank = _window_rank(counts, p, p + 1)
-        block_rank = _dbar_rank(cx, split, p, q)
+        dbar_rank = _window_rank(counts, p + q, p, p + 1)
+        block_rank = block_ranks[(p, q)]
         if dbar_rank != block_rank:
             raise ConsistencyError(
                 f"{cx.spec.name}, Lambda = {_render(cx, lam)}: dbar on B^{{{p},{q}}} has "
                 f"rank {dbar_rank} in the banded elimination of K^{p + q} but rank "
                 f"{block_rank} as a block")
-        d1_ranks[(p, q)] = (_window_rank(counts, p, p + 2) - dbar_rank
-                            - _window_rank(counts, p + 1, p + 2))
+        d1_ranks[(p, q)] = (_window_rank(counts, p + q, p, p + 2) - dbar_rank
+                            - _window_rank(counts, p + q, p + 1, p + 2))
     degenerate = all(v == 0 for v in d1_ranks.values())
     return FirstPage(e1=e1, d1_ranks=d1_ranks, degenerate=degenerate)
 
@@ -494,14 +498,14 @@ def deformed_complex(cx: ExteriorComplex, lam: GradedElement, omega_bar: GradedE
     [Omega_bar, Omega_bar] = 0 needs no check: [wbar^i, wbar^j] = 0 makes it
     vanish for every (0,2) Omega_bar.  Lambda is checked first with
     :meth:`ExteriorComplex.validate_poisson`.  The operators T_n run on the
-    core of L_{Lambda,Omega_bar} (the whole complex when nothing is free),
-    and each rank is expanded over the free monomials as in
-    :func:`_pivot_counts`, without bands.  delta^2 = 0 is verified on every
-    pair of assembled core operators T_n, T_{n+1} before any dimension is
-    reported; T_1 is assembled at every cap, cap 0 included, for the kernel
-    on K^1, and eliminated once: its rank is cols - dim ker.  The kernel on
-    K^1 is the core's plus one unit vector per free generator, ordered by
-    free column as the RREF kernel of the whole T_1.
+    core of L_{Lambda,Omega_bar}, and each rank is expanded over the free
+    monomials as in :func:`_pivot_counts`, without bands.  delta^2 = 0 is
+    verified on every pair of assembled core operators T_n, T_{n+1} before
+    any dimension is reported; T_1 is assembled at every cap, cap 0
+    included, for the kernel on K^1, and eliminated once: its rank is
+    cols - dim ker.  The kernel on K^1 is the core's plus one unit vector
+    per free generator, ordered by free column as the RREF kernel of the
+    whole T_1.
     """
     cx.validate_poisson(lam)
     if omega_bar.bidegrees() - {(0, 2)}:
@@ -512,7 +516,7 @@ def deformed_complex(cx: ExteriorComplex, lam: GradedElement, omega_bar: GradedE
         raise NotIntegrable("dbar_Lambda(Omega_bar) != 0")
 
     summands = [lam, omega_bar]
-    core, free_vecs, free_forms = cx.split(*summands) or (cx, 0, 0)
+    core, free_vecs, free_forms = cx.split(*summands)
     cap = degree_cap(cx, max_degree)
     # T of the core's top degree is 0
     operators = [total_operator(core, summands, n)
@@ -524,13 +528,10 @@ def deformed_complex(cx: ExteriorComplex, lam: GradedElement, omega_bar: GradedE
                 f"{_render(cx, omega_bar)}: delta^2 != 0 between K^{n} and K^{n + 2}")
 
     kernel = kernel_vectors(operators[1])
-    core_ranks = [operators[1].cols - len(kernel) if n == 1 else rank(matrix)
-                  for n, matrix in enumerate(operators)]
-    ranks = {n: sum(core_ranks[n - v - f] * mult
-                    for v, f, mult in _free_shapes(free_vecs, free_forms)
-                    if 0 <= n - v - f < len(core_ranks))
-             for n in range(cap + 1)}
-    dims = _homology({n: cx.k_dim(n) for n in ranks}, ranks, lambda n: n - 1)
+    core_ranks = {n: operators[1].cols - len(kernel) if n == 1 else rank(matrix)
+                  for n, matrix in enumerate(operators)}
+    ranks = _expand(core_ranks, free_vecs, free_forms, cap, lambda n, v, f: n + v + f)
+    dims = _homology({n: cx.k_dim(n) for n in range(cap + 1)}, ranks, lambda n: n - 1)
 
     # the RREF kernel vector of a free column is zero past it; K^1 runs over
     # X_1..X_n, then wbar^1..wbar^n, so (form, vec) sorts in column order

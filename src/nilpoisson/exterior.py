@@ -28,8 +28,9 @@ they were built; it is computed on the first lookup and kept.
 Positions are arithmetic; no basis is materialised to find one.  A
 complex runs over a tuple of vector indices and a tuple of form indices,
 both 1..n for an algebra; the core of :meth:`ExteriorComplex.split` keeps
-only the generators that are not free.  The canonical basis of B^{p,q}
-runs over P in ``combinations(vector indices, p)`` outer and Q in
+the generators that are not free, and is the complex itself when all
+are.  The canonical basis of B^{p,q} runs over P in
+``combinations(vector indices, p)`` outer and Q in
 ``combinations(form indices, q)`` inner, so X_P ^ wbar_Q sits at
 rank_p[P] * C(n_form, q) + rank_q[Q], where rank_k is the position of an
 ascending k-tuple in ``combinations`` order on its side (its index in the
@@ -327,8 +328,8 @@ class ExteriorComplex:
     so Dolbeault tables, total cohomology and the obstruction checker
     share the same exact blocks.  ad blocks are rebuilt on request (from
     memoized images); no computation asks for one twice.  A core from
-    :meth:`split` is an ExteriorComplex too, over fewer generators, with
-    its own bases and memos.
+    :meth:`split` is this complex when nothing is free, and otherwise one
+    over fewer generators, with its own bases and memos.
     """
 
     def __init__(self, spec: AlgebraSpec, report: Optional[StructureReport] = None):
@@ -367,7 +368,7 @@ class ExteriorComplex:
         self._images_memo: dict = {}   # (element, side, degree) -> per-monomial image terms
         self._wedges: dict = {}        # (side, part, degree) -> wedge table
         self.pivot_counts: dict = {}   # (Lambda, degree) -> banded pivot counts of T_degree
-        self.dbar_ranks: dict = {}     # (p, q) -> rank of dbar on B^{p,q}, eliminated blockwise
+        self.tables: dict = {}         # (table, Lambda, cap) -> rank table expanded from the core
         self._splits: dict = {}        # summands -> split(*summands)
 
     # -- canonical bases ---------------------------------------------------
@@ -490,8 +491,8 @@ class ExteriorComplex:
 
     # -- free generators ---------------------------------------------------------
 
-    def split(self, *summands: GradedElement) -> Optional[Tuple["ExteriorComplex", int, int]]:
-        """(core, free vectors, free forms) of L_{summands}; None when no generator is free.
+    def split(self, *summands: GradedElement) -> Tuple["ExteriorComplex", int, int]:
+        """(core, free vectors, free forms) of L_{summands}; the core is self when none is free.
 
         Its differential is dbar + the ad_E of the summands, (Lambda,) or
         (Lambda, Omega_bar).  A generator is free when neither dbar nor an
@@ -502,26 +503,21 @@ class ExteriorComplex:
         tables and keeps its own bases and memos; no generator of it is
         free.  Memoized per summands.
         """
-        try:
-            return self._splits[summands]
-        except KeyError:
-            pass
-        vecs, forms = set(), set()
-        for table in (self._derivation(None), *map(self._derivation, summands)):
-            for generator, image in table.items():
-                for mono in (generator, *image):
-                    vecs.update(mono.vec)
-                    forms.update(mono.form)
-        core_vecs = tuple(i for i in self.vec_indices if i in vecs)
-        core_forms = tuple(i for i in self.form_indices if i in forms)
-        split = None
-        if core_vecs != self.vec_indices or core_forms != self.form_indices:
-            core = copy.copy(self)   # shares spec, report and the generator tables
-            core._bind(core_vecs, core_forms)
-            core._splits[summands] = None
-            split = (core, self.n_vec - core.n_vec, self.n_form - core.n_form)
-        self._splits[summands] = split
-        return split
+        if summands not in self._splits:
+            vecs, forms = set(), set()
+            for table in (self._derivation(None), *map(self._derivation, summands)):
+                for generator, image in table.items():
+                    for mono in (generator, *image):
+                        vecs.update(mono.vec)
+                        forms.update(mono.form)
+            core_vecs = tuple(i for i in self.vec_indices if i in vecs)
+            core_forms = tuple(i for i in self.form_indices if i in forms)
+            core = self
+            if core_vecs != self.vec_indices or core_forms != self.form_indices:
+                core = copy.copy(self)   # shares spec, report and the generator tables
+                core._bind(core_vecs, core_forms)
+            self._splits[summands] = (core, self.n_vec - core.n_vec, self.n_form - core.n_form)
+        return self._splits[summands]
 
     # -- block assembly ----------------------------------------------------------
 
