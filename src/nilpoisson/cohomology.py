@@ -22,19 +22,18 @@ rule, ``_homology``: dim = size - rank out - rank in.
 
 One elimination of T_n per degree serves H^n, every d_1 block and every
 dbar block of that degree.  Call the source block p of a column and the
-target block p of a row its band.  T_n's columns run in descending band;
-dbar keeps the band and ad_Lambda raises it by 1, so F^t K^n maps into
-F^t K^{n+1}.  Let W(n,t,s) be the rank of T_n from bands t..s-1 to bands
-t..s-1, i.e. of F^t K^n -> K^{n+1}/F^s.  Sweep the columns in order and
-take each pivot from the holder in the lowest row band
-(:func:`~nilpoisson.sparse.band_pivot_counts`): every row operation then
-adds a row into a row of an equal or higher band, the rows of band < s
-only mix among themselves, and after the sweep every nonzero row has its
-own leading column.  So for every t <= s, W(n,t,s) is the number of pivots
-with row band < s and column band >= t (the pairing lemma of persistence:
-Cohen-Steiner, Edelsbrunner, Morozov, SoCG 2006).  Three read-outs follow:
+target block p of a row its band.  T_n's rows and columns run in
+descending band; dbar keeps the band and ad_Lambda raises it by 1, so
+F^t K^n maps into F^t K^{n+1}.  Let W(n,t,s) be the rank of T_n from bands
+t..s-1 to bands t..s-1, i.e. of F^t K^n -> K^{n+1}/F^s.  The lowest-one
+column reduction (:func:`~nilpoisson.sparse.band_pivot_counts`) adds each
+column only multiples of the columns to its left, and pairs it with its
+last nonzero row, which lies in its lowest band.  So for every t <= s,
+W(n,t,s) is the number of pairs with row band < s and column band >= t
+(the pairing lemma of persistence: Cohen-Steiner, Edelsbrunner, Morozov,
+SoCG 2006).  Three read-outs follow:
 
-* rank T_n = the number of all pivots;
+* rank T_n = the number of all pairs;
 * rank dbar|B^{p,n-p} = W(n,p,p+1);
 * rank d_1^{p,q} = W(n,p,p+2) - W(n,p,p+1) - W(n,p+1,p+2), n = p + q: the
   image of the window on B^{p,q} + B^{p+1,q-1} projects onto im dbar|B^{p,q}
@@ -235,7 +234,7 @@ def total_operator(cx: ExteriorComplex, summands: Sequence[GradedElement],
 
 
 def _band_sweep(cx: ExteriorComplex, lam: GradedElement, degree: int) -> Dict[Tuple[int, int], int]:
-    """Pivots of cx's own T_degree per (row band, column band): one banded sweep, memoized."""
+    """Pairs of cx's own T_degree per (row band, column band): one reduction, memoized."""
     key = (lam, degree)
     counts = cx.pivot_counts.get(key)
     if counts is None:
@@ -247,7 +246,7 @@ def _band_sweep(cx: ExteriorComplex, lam: GradedElement, degree: int) -> Dict[Tu
 
 def _pivot_counts(cx: ExteriorComplex, lam: GradedElement,
                   cap: int) -> Dict[Tuple[int, int, int], int]:
-    """Pivots of T_n = dbar + ad_Lambda per (n, row band, column band), complete for n <= cap.
+    """Pairs of T_n = dbar + ad_Lambda per (n, row band, column band), complete for n <= cap.
 
     The core of L_lam sweeps its T_n for n < core.dim_l (its top T is 0),
     and each count moves to degree n+v+f, both bands up by v; memoized per (lam, cap).
@@ -266,7 +265,7 @@ def _pivot_counts(cx: ExteriorComplex, lam: GradedElement,
 def _window_rank(counts: Dict[Tuple[int, int, int], int], n: int, t: int, s: int) -> int:
     """W(n, t, s): the rank of T_n from bands t..s-1 to bands t..s-1.
 
-    No pivot's row band is below its column band: T_n and the sweep never lower one.
+    No pair's row band is below its column band: T_n and the reduction never lower one.
     """
     return sum(counts.get((n, row, col), 0) for row in range(t, s) for col in range(t, row + 1))
 
@@ -295,7 +294,7 @@ def first_page(cx: ExteriorComplex, lam: GradedElement,
     """E_1 dimensions and the exact rank of every induced d_1 block.
 
     rank d_1^{p,q} = W(n,p,p+2) - W(n,p,p+1) - W(n,p+1,p+2) with n = p + q,
-    read from the banded pivot counts of T_n (see the module docstring).
+    read from the banded pair counts of T_n (see the module docstring).
     W(n,p,p+1) is rank dbar|B^{p,q}; it must equal the rank of that block
     on its own, eliminated independently for the Dolbeault table, or
     ConsistencyError is raised.  Both sides come from L_lam's core: its
@@ -355,7 +354,7 @@ def obstruction(cx: ExteriorComplex, t: GradedElement) -> ObstructionResult:
 
     The system matrix is the memoized dbar block B^{1,0} -> B^{1,1} itself.
     V is central, so dbar V = 0: its column is zero (checked, fatal), never
-    takes a pivot, and its variable stays 0, so the solution on the other
+    pairs, and its variable stays 0, so the solution on the other
     columns is the one on t^{1,0} alone: X = sum_c x_c X_{c+1}.
     """
     report = cx.report
@@ -405,7 +404,7 @@ def check_obstruction_verdict(cx: ExteriorComplex, lam: GradedElement, kind: str
     and an unsolvable obstruction is exactly d_1^{0,1} != 0.  So
     disagreeing with the page's degeneracy, or an unsolvable verdict with
     d_1^{0,1} = 0, raises :class:`ConsistencyError`.  A page that lacks
-    the block (0,1) (cap 0) is replaced by the page at cap 1, whose pivot
+    the block (0,1) (cap 0) is replaced by the page at cap 1, whose pair
     counts are memoized.  A page at cap 1 is enough for an unsolvable
     verdict.
     """

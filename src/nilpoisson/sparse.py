@@ -1,40 +1,35 @@
 """Sparse exact linear algebra over the Gaussian rationals.
 
-Rank, kernel and solve are implemented by exact Gaussian elimination.  The
-sparse path reads each entry once as its canonical int triple ``(a, b, d)``
-for ``(a + b*i) / d`` (see :mod:`nilpoisson.rationals`), eliminates on raw
-ints with one 3-way gcd per updated entry, and turns kernel vectors and
-solutions back into :class:`GaussianRational` once at exit.  Its pivot row
-for each column is the candidate with the fewest nonzero entries (ties: the
-lower row index), which keeps fill-in low on the operator matrices this
-package produces (a handful of entries per column); back substitution walks
-a column-to-rows index of the pivot rows instead of every pivot.  Every
-kernel and solution is read from this reduced row echelon form, which is
-unique, so neither depends on the pivot rule.  :func:`rank` is the pivot
-count of one forward sweep, at every size.  The elimination has one mode
-and carries no right-hand side: :func:`solve` reduces the augmented matrix
-[M | b], with b as its last column.
+Rank, kernel, solve and spans come from one exact elimination, the
+lowest-one column reduction of persistence (Edelsbrunner, Harer,
+*Computational Topology*, VII.1).  It reads each entry once as its canonical
+int triple ``(a, b, d)`` for ``(a + b*i) / d`` (see
+:mod:`nilpoisson.rationals`), works on raw ints with one 3-way gcd per
+updated entry, and builds :class:`GaussianRational` results once at exit.
+A column gets a pair (low, column) exactly when it is independent of the
+columns to its left, so :func:`rank` counts the pairs and
+:func:`independent_indices` lists their columns.  :func:`kernel_vectors`,
+:func:`solve` and :func:`span_basis` also track the column operations and
+read the unique RREF kernel basis, so no result depends on the order of the
+operations: :func:`solve` negates the kernel vector of b's column in
+[M | b], and the RREF row of pivot p is e_p - sum_f k_f[p] e_f.
 
-:func:`band_pivot_counts` runs the same forward sweep with a banded pivot
-rule: each pivot comes from the holder in the lowest row band (ties: the
-shortest row, then the lower index), so a row is only ever added into a row
-of an equal or higher band.  With the columns in descending band, the pivots
-with row band < s and column band >= t then count the rank of the submatrix
-from the columns of band >= t to the rows of band < s, for every t and s
-(the pairing lemma of persistence; see :mod:`nilpoisson.cohomology`).
+:func:`band_pivot_counts` counts the pairs per (row band, column band).
+When the rows run in descending band and the columns too, as in
+:func:`nilpoisson.cohomology.total_operator`, a column's low is its entry in
+the lowest band, and the pairs with row band < s and column band >= t count
+the rank of the submatrix from the columns of band >= t to the rows of band
+< s, for every t and s (the pairing lemma: Cohen-Steiner, Edelsbrunner,
+Morozov, SoCG 2006; see :mod:`nilpoisson.cohomology`).
 
-Spans of coordinate vectors (the lower central series, layers and
-membership tests in :mod:`nilpoisson.algebra` and
-:mod:`nilpoisson.cohomology`) use the same triple elimination:
-:func:`span_basis` reads the RREF rows of the vectors and
-:func:`independent_indices` the pivot columns of one forward sweep.
-
-There is no epsilon anywhere: a pivot is usable iff it is structurally
+There is no epsilon anywhere: an entry is nonzero iff it is structurally
 nonzero.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from math import gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -123,172 +118,136 @@ class SparseMatrix:
 #
 # Every value below is a canonical triple (a, b, d) = (a + b*i)/d.
 #
-# Forward phase: sweep columns left to right; among not-yet-pivoted rows with
-# a nonzero in the current column, pick the shortest row (ties: the lower
-# row index) and eliminate the column from the other unpivoted rows.
-# Unpivoted rows then never regain entries in processed columns, so after
-# the sweep every unpivoted row is empty.  Backward phase (RREF only):
-# normalize pivots to 1 and, in reverse pivot order, clear each pivot column
-# from the pivot rows that hold it.  A pivot row then only has entries in its
-# own and in free columns, so clearing never touches a pivot column still to
-# come, and the pivot rows holding each pivot column can be listed once
-# before the phase starts.
+# Lowest-one column reduction: sweep the columns left to right.  While a
+# column's last nonzero row (its low) is the low of an earlier reduced column,
+# subtract the multiple of that column that clears it; then the column is zero
+# or pairs (low, column).  A reduced column is kept with its low entry, the
+# pivot, set apart.  With ``track`` the reduction also keeps V, R = M V.  Only
+# paired columns are ever subtracted, so column c of V is e_c plus paired
+# columns to its left, and a zero column c of R gives the kernel vector that
+# is 1 at c and 0 at every other zero column: the unique RREF basis vector.
 
 Triple = Tuple[int, int, int]
-
-
-def _triple_ratio(x: Triple, y: Triple) -> Triple:
-    """x / y, canonical."""
-    a, b, d = x
-    c, e, f = y
-    a, b, d = (a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e)
-    g = gcd(a, b, d)
-    return (a // g, b // g, d // g) if g != 1 else (a, b, d)
-
 
 _ONE_TRIPLE = (1, 0, 1)
 
 
-class _Echelon:
-    __slots__ = ("cols", "row_data", "pivots")
-
-    def __init__(self, matrix: SparseMatrix):
-        self.cols = matrix.cols
-        # only rows holding entries get a dict: most rows of a total operator are empty
-        row_data: Dict[int, Dict[int, Triple]] = {}
-        for (r, c), value in matrix.entries.items():
-            row = row_data.get(r)
-            if row is None:
-                row = row_data[r] = {}
-            row[c] = value.triple
-        self.row_data = row_data
-        self.pivots: List[Tuple[int, int]] = []
-
-    def forward(self, row_band: Optional[Sequence[int]] = None) -> None:
-        """Forward sweep; with ``row_band``, pivots come from the lowest band first."""
-        row_data = self.row_data
-        # unpivoted rows holding each column
-        col_to_rows: Dict[int, set] = {}
-        for r, data in row_data.items():
-            for c in data:
-                col_to_rows.setdefault(c, set()).add(r)
-        if row_band is None:
-            def key(r):
-                return len(row_data[r]), r
+def _subtract(target: Dict[int, Triple], source: Dict[int, Triple],
+              value: Triple, pivot: Triple) -> None:
+    """target -= (value / pivot) * source, entry by entry, dropping the zeros."""
+    a, b, d = value
+    c, e, f = pivot
+    fa, fb, fd = (a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e)
+    g = gcd(fa, fb, fd)
+    if g != 1:
+        fa, fb, fd = fa // g, fb // g, fd // g
+    for k, (va, vb, vd) in source.items():
+        ma, mb, md = fa * va - fb * vb, fa * vb + fb * va, fd * vd
+        old = target.get(k)
+        if old is None:
+            a, b, d = -ma, -mb, md
         else:
-            def key(r):
-                return row_band[r], len(row_data[r]), r
-        for c in sorted(col_to_rows):
-            holders = col_to_rows.pop(c)
-            if len(holders) == 1:
-                pivot = next(iter(holders))
-            elif holders:
-                pivot = min(holders, key=key)
+            a, b, d = old
+            if d == md:
+                a, b = a - ma, b - mb
             else:
+                a, b, d = a * md - ma * d, b * md - mb * d, d * md
+            if not (a or b):
+                del target[k]
                 continue
-            self.pivots.append((pivot, c))
-            for k in row_data[pivot]:
-                if k != c:
-                    col_to_rows[k].discard(pivot)
-            for r in holders:
-                if r != pivot:
-                    self._subtract(r, pivot, c, col_to_rows)
+        g = gcd(a, b, d)
+        target[k] = (a // g, b // g, d // g) if g != 1 else (a, b, d)
 
-    def reduce(self) -> None:
-        """Normalize pivots and clear pivot columns upward (full RREF)."""
-        row_data = self.row_data
-        holding: Dict[int, List[int]] = {c: [] for _, c in self.pivots}
-        for pivot, c in self.pivots:
-            value = row_data[pivot][c]
-            if value != _ONE_TRIPLE:
-                row_data[pivot] = {k: _triple_ratio(v, value) for k, v in row_data[pivot].items()}
-            for k in row_data[pivot]:
-                if k != c and k in holding:
-                    holding[k].append(pivot)
-        for pivot, c in reversed(self.pivots):
-            for other in holding[c]:
-                self._subtract(other, pivot, c, None)
 
-    def _subtract(self, target: int, source: int, col: int,
-                  col_to_rows: Optional[Dict[int, set]]) -> None:
-        """Clear column ``col`` of row ``target`` with a multiple of row ``source``."""
-        trow, srow = self.row_data[target], self.row_data[source]
-        fa, fb, fd = _triple_ratio(trow.pop(col), srow[col])
-        for k, (va, vb, vd) in srow.items():
-            if k == col:
-                continue
-            ma, mb, md = fa * va - fb * vb, fa * vb + fb * va, fd * vd
-            old = trow.get(k)
-            if old is None:
-                a, b, d = -ma, -mb, md
-            else:
-                a, b, d = old
-                if d == md:
-                    a, b = a - ma, b - mb
-                else:
-                    a, b, d = a * md - ma * d, b * md - mb * d, d * md
-                if not (a or b):
-                    del trow[k]
-                    if col_to_rows is not None:
-                        col_to_rows[k].discard(target)
-                    continue
-            g = gcd(a, b, d)
-            trow[k] = (a // g, b // g, d // g) if g != 1 else (a, b, d)
-            if old is None and col_to_rows is not None:
-                col_to_rows[k].add(target)
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector.
 
-    # -- results ---------------------------------------------------------
+    A reduction allocates millions of tuples and dicts, none in a cycle, and
+    each allocation burst would otherwise trigger passes over the whole heap.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
-    def kernel_columns(self) -> List[Dict[int, GaussianRational]]:
-        """One kernel vector per free column; call after :meth:`reduce`."""
-        pivot_cols = {c for _, c in self.pivots}
-        vectors = {free: {free: ONE} for free in range(self.cols) if free not in pivot_cols}
-        for pivot, c in self.pivots:
-            for k, (a, b, d) in self.row_data[pivot].items():
-                if k != c:
-                    vectors[k][c] = from_triple(-a, -b, d)
-        return list(vectors.values())
+
+@_gc_paused()
+def _reduce(matrix: SparseMatrix, track: bool = False
+            ) -> Tuple[List[Tuple[int, int]], Dict[int, Dict[int, Triple]]]:
+    """The pairs (low, column) in column order and, with ``track``, the kernel.
+
+    The kernel maps each zero column f of R to its RREF kernel vector, whose
+    entry 1 at f is left implicit.
+    """
+    columns: Dict[int, Dict[int, Triple]] = {}
+    for (r, c), value in matrix.entries.items():
+        col = columns.get(c)
+        if col is None:
+            col = columns[c] = {}
+        col[r] = value.triple
+    # low -> (pivot, the rest of its R column, its V column)
+    reduced: Dict[int, Tuple[Triple, Dict[int, Triple], Optional[Dict[int, Triple]]]] = {}
+    pairs: List[Tuple[int, int]] = []
+    kernel: Dict[int, Dict[int, Triple]] = {}
+    for c in range(matrix.cols) if track else sorted(columns):
+        col = columns.pop(c, {})
+        vec = {c: _ONE_TRIPLE} if track else None
+        while col:
+            low = max(col)
+            owner = reduced.get(low)
+            if owner is None:
+                reduced[low] = col.pop(low), col, vec
+                pairs.append((low, c))
+                break
+            pivot, source, source_vec = owner
+            value = col.pop(low)
+            _subtract(col, source, value, pivot)
+            if track:
+                _subtract(vec, source_vec, value, pivot)
+        else:
+            if track:
+                del vec[c]
+                kernel[c] = vec
+    return pairs, kernel
 
 
 def rank(matrix: SparseMatrix) -> int:
     """Exact rank over Q(i)."""
-    ech = _Echelon(matrix)
-    ech.forward()
-    return len(ech.pivots)
+    return len(_reduce(matrix)[0])
 
 
 def band_pivot_counts(matrix: SparseMatrix, row_band: Sequence[int],
                       col_band: Sequence[int]) -> Dict[Tuple[int, int], int]:
-    """Pivots per (row band, column band) of one sweep with the banded pivot rule.
+    """Pairs (low, column) of the reduction per (row band, column band).
 
     ``row_band[r]`` and ``col_band[c]`` label each row and column; the
     counts add up to the rank.
     """
-    ech = _Echelon(matrix)
-    ech.forward(row_band)
     counts: Dict[Tuple[int, int], int] = {}
-    for r, c in ech.pivots:
-        key = (row_band[r], col_band[c])
+    for low, c in _reduce(matrix)[0]:
+        key = (row_band[low], col_band[c])
         counts[key] = counts.get(key, 0) + 1
     return counts
 
 
 def kernel_vectors(matrix: SparseMatrix) -> List[Dict[int, GaussianRational]]:
-    """Kernel basis as sparse coordinate dicts (from the unique RREF)."""
-    ech = _Echelon(matrix)
-    ech.forward()
-    ech.reduce()
-    return ech.kernel_columns()
+    """Kernel basis as sparse coordinate dicts (the RREF basis, ascending free column)."""
+    return [{free: ONE, **{k: from_triple(*value) for k, value in vec.items()}}
+            for free, vec in _reduce(matrix, track=True)[1].items()]
 
 
 def solve(matrix: SparseMatrix, b: Sequence[GaussianRational]) -> Optional[List[GaussianRational]]:
     """Some x with Mx = b, or None when the system is inconsistent.
 
     Reduces the augmented matrix [M | b], with b as column ``cols``: the
-    system is inconsistent iff that column gets a pivot, and otherwise x_c
-    is the ``cols`` entry of the pivot row of column c, every free variable
-    zero.  When rank == cols that is the unique solution.  Entries of b may
-    be ints or Fractions.  Raises ValueError on a length mismatch.
+    system is inconsistent iff that column pairs, and otherwise x is its
+    RREF kernel vector negated, every free variable zero.  When rank ==
+    cols that is the unique solution.  Entries of b may be ints or
+    Fractions.  Raises ValueError on a length mismatch.
     """
     if len(b) != matrix.rows:
         raise ValueError(f"rhs length {len(b)} != rows {matrix.rows}")
@@ -298,17 +257,12 @@ def solve(matrix: SparseMatrix, b: Sequence[GaussianRational]) -> Optional[List[
         value = v if isinstance(v, GaussianRational) else GaussianRational(v)
         if value:
             augmented[(r, cols)] = value
-    ech = _Echelon(SparseMatrix._trusted(matrix.rows, cols + 1, augmented))
-    ech.forward()
-    # pivots come in column order, so a pivot in column cols is the last one
-    if ech.pivots and ech.pivots[-1][1] == cols:
+    kernel = _reduce(SparseMatrix._trusted(matrix.rows, cols + 1, augmented), track=True)[1]
+    if cols not in kernel:
         return None
-    ech.reduce()
     solution = [ZERO] * cols
-    for pivot, c in ech.pivots:
-        value = ech.row_data[pivot].get(cols)
-        if value is not None:
-            solution[c] = from_triple(*value)
+    for c, (re, im, d) in kernel[cols].items():
+        solution[c] = from_triple(-re, -im, d)
     return solution
 
 
@@ -327,20 +281,23 @@ def _vector_matrix(vectors: Vectors, as_columns: bool) -> SparseMatrix:
 
 
 def span_basis(vectors: Vectors) -> List[Dict[int, GaussianRational]]:
-    """The RREF basis of the span of the vectors, rows in pivot order."""
-    ech = _Echelon(_vector_matrix(vectors, as_columns=False))
-    ech.forward()
-    ech.reduce()
-    return [{c: from_triple(*value) for c, value in ech.row_data[pivot].items()}
-            for pivot, _ in ech.pivots]
+    """The RREF basis of the span of the vectors, rows in pivot order.
+
+    With the vectors as rows, the row of pivot column p is e_p - sum_f k_f[p] e_f
+    over the RREF kernel vectors k_f.
+    """
+    pairs, kernel = _reduce(_vector_matrix(vectors, as_columns=False), track=True)
+    rows = {c: {c: ONE} for _, c in pairs}
+    for free, vec in kernel.items():
+        for p, (a, b, d) in vec.items():
+            rows[p][free] = from_triple(-a, -b, d)
+    return list(rows.values())
 
 
 def independent_indices(vectors: Vectors) -> List[int]:
     """Indices of the vectors independent of the vectors before them, ascending.
 
-    With the vectors as columns, the forward sweep gives a column a pivot
-    exactly when it is independent of the columns to its left.
+    With the vectors as columns, a column pairs exactly when it is
+    independent of the columns to its left.
     """
-    ech = _Echelon(_vector_matrix(vectors, as_columns=True))
-    ech.forward()
-    return [c for _, c in ech.pivots]
+    return [c for _, c in _reduce(_vector_matrix(vectors, as_columns=True))[0]]

@@ -32,6 +32,12 @@ from test_exterior import _small_scalars, _two_step_complexes
 
 HALF = Fraction(1, 2)
 
+# Hypothesis phases without shrinking, for the property tests that run the
+# elimination: under a broken elimination every example fails, and shrinking
+# reruns it on each smaller example for minutes where the first failure takes
+# about a second
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
 
 def V(i):
     return GradedElement.vector(i)
@@ -169,7 +175,7 @@ def test_d1_ranks_match_the_kernel_lift_oracle(name, expr, cap):
     assert any(ranks.values()) == name.startswith("w4n6")
 
 
-@settings(max_examples=15, deadline=None,
+@settings(max_examples=15, deadline=None, phases=_NO_SHRINK,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cx=_two_step_complexes(), data=st.data())
 def test_d1_ranks_match_the_kernel_lift_oracle_on_random_two_step(cx, data):
@@ -226,7 +232,7 @@ def test_band_counts_match_the_stitched_windows(name, expr, cap):
     _assert_band_counts_match_stitched_windows(cx, lam, cap)
 
 
-@settings(max_examples=15, deadline=None,
+@settings(max_examples=15, deadline=None, phases=_NO_SHRINK,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cx=_two_step_complexes(), data=st.data())
 def test_band_counts_match_the_stitched_windows_on_random_two_step(cx, data):
@@ -278,7 +284,7 @@ def test_factored_counts_match_the_whole_complex(name, expr, cap):
 
 # no shrinking: each shrink step reruns the whole-complex oracle, and a failure
 # would take minutes to shrink where it is found in about a second
-@settings(max_examples=10, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate),
+@settings(max_examples=10, deadline=None, phases=_NO_SHRINK,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cx=_two_step_complexes(), extra=st.integers(min_value=1, max_value=2), data=st.data())
 def test_factored_counts_match_the_whole_complex_with_a_torus_factor(cx, extra, data):
@@ -341,7 +347,7 @@ def test_deformation_on_an_empty_core():
 
 # no shrinking: each shrink step reruns the whole-complex oracle, and a failure
 # would take minutes to shrink where it is found in about a second
-@settings(max_examples=10, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate),
+@settings(max_examples=10, deadline=None, phases=_NO_SHRINK,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cx=_two_step_complexes(), extra=st.integers(min_value=1, max_value=2), data=st.data())
 def test_factored_deformation_matches_the_whole_complex_with_a_torus_factor(cx, extra, data):
@@ -505,7 +511,7 @@ def test_obstruction_on_the_dbar_block_matches_the_restricted_system(name):
         _assert_matches_restricted(cx, V(t_index))
 
 
-@settings(max_examples=25, deadline=None,
+@settings(max_examples=25, deadline=None, phases=_NO_SHRINK,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cx=_two_step_complexes(), data=st.data())
 def test_obstruction_matches_the_restricted_system_on_random_two_step(cx, data):

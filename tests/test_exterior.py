@@ -18,7 +18,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from nilpoisson import AlgebraSpec, ExteriorComplex, GradedElement, Monomial, wedge
@@ -624,7 +624,9 @@ def _two_step_complexes(draw):
     return ExteriorComplex(AlgebraSpec("random-2step", n, labels, constants))
 
 
+# no shrinking: a failure is found in seconds and would take minutes to shrink
 @settings(max_examples=15, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate),
           suppress_health_check=[HealthCheck.too_slow])
 @given(cx=_two_step_complexes(), seed=st.integers(min_value=0, max_value=2**16))
 def test_operator_blocks_match_columnwise_oracle_on_random_two_step(cx, seed):

@@ -3,8 +3,9 @@
 sympy is an independent implementation of exact linear algebra over Q(i):
 its rank, its reduced row echelon form (unique, so kernel vectors and the
 solution with free variables zero can be read off it entry for entry), the
-span helpers (an RREF basis, the indices where the rank of a prefix grows)
-and the ranks of the total operators must agree with ``nilpoisson.sparse``.
+span helpers (an RREF basis, the indices where the rank of a prefix grows),
+the banded pair counts (the rank of every lower-left window) and the ranks
+of the total operators must agree with ``nilpoisson.sparse``.
 Small shapes and shapes of 64..76 with operator-like densities are drawn.
 """
 
@@ -12,7 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
@@ -25,8 +26,8 @@ from nilpoisson.algebra import validate  # noqa: E402
 from nilpoisson.cohomology import total_cohomology, total_operator  # noqa: E402
 from nilpoisson.expressions import parse_multivector  # noqa: E402
 from nilpoisson.rationals import gauss  # noqa: E402
-from nilpoisson.sparse import (DENSE_CUTOFF, SparseMatrix, independent_indices,  # noqa: E402
-                               kernel_vectors, rank, solve, span_basis)
+from nilpoisson.sparse import (DENSE_CUTOFF, SparseMatrix, band_pivot_counts,  # noqa: E402
+                               independent_indices, kernel_vectors, rank, solve, span_basis)
 
 
 def _to_sympy(value):
@@ -91,7 +92,10 @@ def _matrices(draw, sizes, densities):
     return sparse(rows, cols, draw(st.sampled_from(densities)))
 
 
+# no shrinking: under a broken elimination every example fails, and shrinking
+# would rerun sympy on each smaller example for minutes
 _oracle_settings = settings(max_examples=20, deadline=None,
+                            phases=(Phase.explicit, Phase.reuse, Phase.generate),
                             suppress_health_check=[HealthCheck.too_slow,
                                                    HealthCheck.data_too_large])
 
@@ -142,6 +146,30 @@ def test_solve_matches_the_sympy_rref(sizes, densities, data):
     for row, c in zip(reduced, pivots):
         expected[c] = row.get(m.cols, gauss(0))
     assert got == expected
+
+
+def _descending_bands(draw, size):
+    """Band labels for ``size`` indices, non-increasing with the index."""
+    return sorted((draw(st.integers(0, 3)) for _ in range(size)), reverse=True)
+
+
+@_sizes
+@_oracle_settings
+@given(data=st.data())
+def test_band_pivot_counts_are_the_sympy_window_ranks(sizes, densities, data):
+    """With rows and columns in descending band, the pairs with row band < s and
+    column band >= t count the rank of that submatrix, for every t and s."""
+    m = data.draw(_matrices(sizes, densities))
+    row_band = _descending_bands(data.draw, m.rows)
+    col_band = _descending_bands(data.draw, m.cols)
+    counts = band_pivot_counts(m, row_band, col_band)
+    full = _domain_matrix(m)
+    for t in range(5):
+        cols = [c for c in range(m.cols) if col_band[c] >= t]
+        for s in range(5):
+            rows = [r for r in range(m.rows) if row_band[r] < s]
+            window = full.extract(rows, cols).rank() if rows and cols else 0
+            assert sum(k for (row, col), k in counts.items() if row < s and col >= t) == window, (t, s)
 
 
 def test_the_drawn_shapes_reach_the_sparse_path():
