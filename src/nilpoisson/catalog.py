@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .algebra import AlgebraSpec
+from .algebra import AlgebraError, AlgebraSpec
 from .rationals import (GaussianRational, InputError, MalformedRational, format_rational,
                         parse_rational, quote)
 
@@ -197,7 +197,6 @@ def parse_spec(text: str) -> AlgebraSpec:
                 raise SpecFormatError(f"constants[{position}]: {exc}") from None
         value = GaussianRational(*parts)
         constants[(k, j, m)] = value
-    from .algebra import AlgebraError
     try:
         return AlgebraSpec(raw["name"], raw["n"], tuple(raw["labels"]), constants)
     except AlgebraError as exc:

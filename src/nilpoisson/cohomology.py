@@ -147,27 +147,24 @@ def _dbar_ranks(cx: ExteriorComplex, lam: GradedElement, cap: int) -> Dict[Tuple
 
     B^{p,q} is the sum of B^{p-v,q-f} of L_lam's core times the free
     monomials with v vectors and f forms, and dbar acts on the core factor
-    alone.  Memoized per (lam, cap).
+    alone.  Not memoized: the core keeps each block with its rank, so a
+    second call only expands.
     """
-    key = ("dbar", lam, cap)
-    ranks = cx.tables.get(key)
-    if ranks is None:
-        core, free_vecs, free_forms = cx.split(lam)
-        ranks = cx.tables[key] = _expand(
-            {(p, q): core.operator_block("dbar", p, q).rank()
-             for p in range(min(core.n_vec, cap) + 1) for q in range(min(core.n_form, cap - p) + 1)},
-            free_vecs, free_forms, cap, lambda block, v, f: (block[0] + v, block[1] + f))
-    return ranks
+    core, free_vecs, free_forms = cx.split(lam)
+    return _expand(
+        {(p, q): core.operator_block("dbar", p, q).rank()
+         for p in range(min(core.n_vec, cap) + 1) for q in range(min(core.n_form, cap - p) + 1)},
+        free_vecs, free_forms, cap, lambda block, v, f: (block[0] + v, block[1] + f))
 
 
-def dolbeault_dims(cx: ExteriorComplex, max_total: Optional[int] = None,
+def dolbeault_dims(cx: ExteriorComplex, max_degree: Optional[int] = None,
                    lam: Optional[GradedElement] = None) -> Dict[Tuple[int, int], int]:
-    """dim H^q(g^{p,0}) for every block with p + q <= max_total.
+    """dim H^q(g^{p,0}) for every block with p + q <= max_degree.
 
     The table does not depend on lam; the dbar ranks come from the core
     of L_lam (L_0 without lam), whose blocks its T_n reads as well.
     """
-    cap = degree_cap(cx, max_total)
+    cap = degree_cap(cx, max_degree)
     sizes = {(p, q): cx.block_dim(p, q) for p in range(min(cx.n, cap) + 1)
              for q in range(min(cx.n, cap - p) + 1)}
     ranks = _dbar_ranks(cx, GradedElement() if lam is None else lam, cap)
@@ -249,17 +246,15 @@ def _pivot_counts(cx: ExteriorComplex, lam: GradedElement,
     """Pairs of T_n = dbar + ad_Lambda per (n, row band, column band), complete for n <= cap.
 
     The core of L_lam sweeps its T_n for n < core.dim_l (its top T is 0),
-    and each count moves to degree n+v+f, both bands up by v; memoized per (lam, cap).
+    and each count moves to degree n+v+f, both bands up by v.  Not
+    memoized: the core keeps its counts per (lam, degree), so a second
+    call only expands.
     """
-    key = ("bands", lam, cap)
-    counts = cx.tables.get(key)
-    if counts is None:
-        core, free_vecs, free_forms = cx.split(lam)
-        counts = cx.tables[key] = _expand(
-            {(n, row, col): k for n in range(min(cap, core.dim_l - 1) + 1)
-             for (row, col), k in _band_sweep(core, lam, n).items()},
-            free_vecs, free_forms, cap, lambda key, v, f: (key[0] + v + f, key[1] + v, key[2] + v))
-    return counts
+    core, free_vecs, free_forms = cx.split(lam)
+    return _expand(
+        {(n, row, col): k for n in range(min(cap, core.dim_l - 1) + 1)
+         for (row, col), k in _band_sweep(core, lam, n).items()},
+        free_vecs, free_forms, cap, lambda key, v, f: (key[0] + v + f, key[1] + v, key[2] + v))
 
 
 def _window_rank(counts: Dict[Tuple[int, int, int], int], n: int, t: int, s: int) -> int:
@@ -290,7 +285,7 @@ class FirstPage:
 
 
 def first_page(cx: ExteriorComplex, lam: GradedElement,
-               max_total: Optional[int] = None) -> FirstPage:
+               max_degree: Optional[int] = None) -> FirstPage:
     """E_1 dimensions and the exact rank of every induced d_1 block.
 
     rank d_1^{p,q} = W(n,p,p+2) - W(n,p,p+1) - W(n,p+1,p+2) with n = p + q,
@@ -300,8 +295,8 @@ def first_page(cx: ExteriorComplex, lam: GradedElement,
     ConsistencyError is raised.  Both sides come from L_lam's core: its
     banded counts and its block ranks, each expanded.
     """
-    e1 = dolbeault_dims(cx, max_total, lam)
-    cap = degree_cap(cx, max_total)
+    e1 = dolbeault_dims(cx, max_degree, lam)
+    cap = degree_cap(cx, max_degree)
     counts, block_ranks = _pivot_counts(cx, lam, cap), _dbar_ranks(cx, lam, cap)
     d1_ranks: Dict[Tuple[int, int], int] = {}
     for (p, q) in e1:
@@ -404,9 +399,10 @@ def check_obstruction_verdict(cx: ExteriorComplex, lam: GradedElement, kind: str
     and an unsolvable obstruction is exactly d_1^{0,1} != 0.  So
     disagreeing with the page's degeneracy, or an unsolvable verdict with
     d_1^{0,1} = 0, raises :class:`ConsistencyError`.  A page that lacks
-    the block (0,1) (cap 0) is replaced by the page at cap 1, whose pair
-    counts are memoized.  A page at cap 1 is enough for an unsolvable
-    verdict.
+    the block (0,1) (cap 0) is replaced by the page at cap 1; the core
+    keeps its pair counts per degree and its dbar blocks with their ranks,
+    so only what cap 0 did not reach is eliminated.  A page at cap 1 is
+    enough for an unsolvable verdict.
     """
     degenerate = kind in ("trivial_action", "solvable")
     if (0, 1) not in page.e1:

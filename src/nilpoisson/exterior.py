@@ -96,15 +96,16 @@ coefficient-exactly.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .algebra import AlgebraSpec, StructureReport, validate
 from .rationals import ONE, GaussianRational, InputError, add_into
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, rank
 
 
 class PoissonError(InputError):
@@ -309,16 +310,13 @@ class OperatorMatrix:
     target: Tuple[int, int]
     matrix: SparseMatrix
 
-    _rank_cache: dict = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_rank_cache", {})
-
     def rank(self) -> int:
-        if "rank" not in self._rank_cache:
-            from .sparse import rank as _rank
-            self._rank_cache["rank"] = _rank(self.matrix)
-        return self._rank_cache["rank"]
+        """The exact rank of the block, eliminated on the first call and kept."""
+        return self._rank
+
+    @cached_property
+    def _rank(self) -> int:
+        return rank(self.matrix)
 
 
 class ExteriorComplex:
@@ -355,7 +353,12 @@ class ExteriorComplex:
         self._bind(every, every)
 
     def _bind(self, vec_indices: Tuple[int, ...], form_indices: Tuple[int, ...]) -> None:
-        """Set the generators the monomials run over, with empty memos for them."""
+        """Set the generators the monomials run over, with empty memos for them.
+
+        Each memo keeps one fact once: a dbar block (with its rank), an
+        image or wedge table, the banded counts of one T_degree.  A table
+        that :mod:`nilpoisson.cohomology` expands from a core's is not kept.
+        """
         self.vec_indices, self.form_indices = vec_indices, form_indices
         self.n_vec, self.n_form = len(vec_indices), len(form_indices)
         self.dim_l = self.n_vec + self.n_form
@@ -368,7 +371,6 @@ class ExteriorComplex:
         self._images_memo: dict = {}   # (element, side, degree) -> per-monomial image terms
         self._wedges: dict = {}        # (side, part, degree) -> wedge table
         self.pivot_counts: dict = {}   # (Lambda, degree) -> banded pivot counts of T_degree
-        self.tables: dict = {}         # (table, Lambda, cap) -> rank table expanded from the core
         self._splits: dict = {}        # summands -> split(*summands)
 
     # -- canonical bases ---------------------------------------------------

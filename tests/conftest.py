@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from nilpoisson import AlgebraSpec, ExteriorComplex, GaussianRational
@@ -43,3 +45,16 @@ def three_step():
 @pytest.fixture(scope="session")
 def three_step_complex(three_step):
     return ExteriorComplex(three_step)
+
+
+@pytest.fixture(scope="session")
+def step3():
+    """A 3-step algebra with one-dimensional (1,0) center X4.
+
+    A^3_{21} = A^4_{32} = -i/2, so dbar X1 = -i/2 wbar^2 ^ X3 and
+    dbar X2 = -i/2 wbar^3 ^ X4.  The layers come out as {X1, X2}, {X3},
+    {X4}; wbar^1 occurs in no image of dbar or of ad_{X4^X3}.
+    """
+    half = GaussianRational(0, Fraction(-1, 2))
+    return AlgebraSpec("step3", 4, ("X1", "X2", "X3", "X4"),
+                       {(2, 1, 3): half, (3, 2, 4): half})

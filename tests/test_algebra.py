@@ -119,8 +119,16 @@ def test_three_step_layers(three_step):
     assert report.t_layer_indices == ((1, 4), (2,), (3,))
 
 
-def test_layers_sum_to_dimension(three_step):
-    for spec in (torus(3), heisenberg_ext(3), p_family(2), w_family(1), three_step):
+def test_step3_layers(step3):
+    report = validate(step3)
+    assert report.step == 3
+    assert report.dim_center == 1
+    assert report.center_indices == (4,)
+    assert report.t_layer_indices == ((1, 2), (3,), (4,))
+
+
+def test_layers_sum_to_dimension(three_step, step3):
+    for spec in (torus(3), heisenberg_ext(3), p_family(2), w_family(1), three_step, step3):
         report = validate(spec)
         assert sum(len(layer) for layer in report.t_layers) == spec.n
 

@@ -52,7 +52,7 @@ def F(i):
 
 def test_torus_dolbeault_table():
     cx = ExteriorComplex(torus(2))
-    dims = dolbeault_dims(cx, max_total=4)
+    dims = dolbeault_dims(cx, max_degree=4)
     for (p, q), dim in dims.items():
         assert dim == comb(2, p) * comb(2, q)
 
@@ -134,7 +134,7 @@ def test_w6_second_page_strict_drop(w6_complex):
 def test_torus_bivector_acts_trivially():
     cx = ExteriorComplex(torus(2))
     lam = wedge(V(1), V(2))
-    page = first_page(cx, lam, max_total=4)
+    page = first_page(cx, lam, max_degree=4)
     assert page.degenerate
     assert second_page(page) == page.e1
 
@@ -371,18 +371,28 @@ def test_factored_deformation_matches_the_whole_complex_with_a_torus_factor(cx, 
     _assert_factored_deformation_matches_the_whole_route(cx, lam, omega, cx.dim_l)
 
 
-def test_second_dolbeault_table_asks_for_no_dbar_block(monkeypatch):
-    """The expanded dbar ranks are memoized per (Lambda, cap), so the table
-    first_page reads again comes from the ranks of the first pass."""
+def _memo_sizes(*complexes):
+    return [(len(c._blocks), len(c._images_memo), len(c._wedges), len(c._derivations),
+             len(c.pivot_counts), len(c._splits)) for c in complexes]
+
+
+def test_second_dolbeault_table_builds_no_block_and_eliminates_nothing(monkeypatch):
+    """The core keeps each dbar block with its rank, so the table first_page
+    reads again only expands: it builds no block and runs no elimination."""
+    from nilpoisson import sparse
+
     cx = ExteriorComplex(parse_catalog_name("w4n6:2"))
     lam = _parse(cx, "V^T1")
     table = dolbeault_dims(cx, 4, lam)
     core, _, _ = cx.split(lam)
-    asked = []
-    for c in (cx, core):
-        monkeypatch.setattr(c, "operator_block", lambda *args: asked.append(args))
-    assert dolbeault_dims(cx, 4, lam) == table and not asked
-    assert list(cx.tables) == [("dbar", lam, 4)] and not core.tables
+    assert core is not cx and core._blocks
+    before = _memo_sizes(cx, core)
+    reductions = []
+    original = sparse._reduce
+    monkeypatch.setattr(sparse, "_reduce",
+                        lambda *args, **kwargs: reductions.append(args) or original(*args, **kwargs))
+    assert dolbeault_dims(cx, 4, lam) == table
+    assert _memo_sizes(cx, core) == before and not reductions
 
 
 @pytest.mark.parametrize("summands", [("V^T2",), ("V^T2", "rho_bar^w1_bar")],
@@ -395,13 +405,39 @@ def test_a_complex_with_nothing_free_is_its_own_core(summands):
 
 def test_only_the_core_sweeps():
     """The whole complex only expands: every banded sweep is the core's, one
-    per degree below core.dim_l (the core's top T is 0)."""
+    per degree below core.dim_l (the core's top T is 0), and a second
+    analysis grows no memo."""
     cx = ExteriorComplex(parse_catalog_name("w4n6:2"))
     lam = _parse(cx, "V^T1")
-    analyze(cx, lam, max_degree=cx.dim_l)
+    report = analyze(cx, lam, max_degree=cx.dim_l)
     core, _, _ = cx.split(lam)
-    assert not cx.pivot_counts and not core.tables
+    assert not cx.pivot_counts
     assert sorted(degree for _, degree in core.pivot_counts) == list(range(core.dim_l))
+    before = _memo_sizes(cx, core)
+    assert analyze(cx, lam, max_degree=cx.dim_l) == report
+    assert _memo_sizes(cx, core) == before
+
+
+@pytest.mark.parametrize("name, expr", [
+    ("w4n6:2", "V^T1"), ("p4n2:2", "V^T2"), ("torus:3", "X1^X3"), ("step3", "X4^X3"),
+])
+def test_expanded_tables_do_not_depend_on_the_cap(request, name, expr):
+    """For caps c' < c, the dbar ranks and banded counts at c and at c' agree
+    on every key of degree <= c': a table at a lower cap is the complete
+    low-degree part of the table at a higher one."""
+    from nilpoisson.cohomology import _dbar_ranks, _pivot_counts
+
+    spec = request.getfixturevalue(name) if name == "step3" else parse_catalog_name(name)
+    cx = ExteriorComplex(spec)
+    lam = _parse(cx, expr)
+    for table, degree in ((_dbar_ranks, lambda key: key[0] + key[1]),
+                          (_pivot_counts, lambda key: key[0])):
+        at = [table(cx, lam, cap) for cap in range(cx.dim_l + 1)]
+        for low in range(cx.dim_l):
+            expected = {key: k for key, k in at[low].items() if degree(key) <= low}
+            for high in range(low + 1, cx.dim_l + 1):
+                assert {key: k for key, k in at[high].items()
+                        if degree(key) <= low} == expected, (table.__name__, low, high)
 
 
 # -- obstruction --------------------------------------------------------------------
@@ -431,6 +467,39 @@ def test_w6_trivial_action(w6_complex):
 
 def test_w6_unsolvable(w6_complex):
     assert obstruction(w6_complex, V(1)).kind == "unsolvable"
+
+
+# -- a step-3 algebra with a one-dimensional center ------------------------------------
+
+
+def test_step3_obstruction(step3):
+    """T = X3 spans the t_2 layer and its obstruction is unsolvable; X2 lies
+    in t_1, outside it."""
+    cx = ExteriorComplex(step3)
+    assert obstruction(cx, V(3)).kind == "unsolvable"
+    with pytest.raises(ObstructionInputError):
+        obstruction(cx, V(2))
+
+
+def test_step3_full_degree_analysis(step3):
+    """Lambda = X4^X3 at full degree: palindromic H^n, the unsolvable
+    obstruction checked against d_1, and no Hodge-type equality.  wbar^1
+    is free, so the core route runs."""
+    cx = ExteriorComplex(step3)
+    lam = wedge(V(4), V(3))
+    assert cx.split(lam)[1:] == (0, 1)
+    report = analyze(cx, lam, max_degree=cx.dim_l)
+    assert report.hn_lambda == dict(enumerate([1, 5, 15, 27, 32, 27, 15, 5, 1]))
+    assert report.obstruction_kind == "unsolvable"
+    assert report.degeneracy is False and report.hodge is False
+
+
+def test_step3_factored_routes_match_the_whole_complex(step3):
+    cx = ExteriorComplex(step3)
+    lam, omega = _parse(cx, "X4^X3"), _parse(cx, "rho_bar^w2_bar")
+    _assert_factored_route_matches_the_whole_route(cx, lam, cx.dim_l)
+    assert cx.split(lam, omega)[0] is not cx
+    _assert_factored_deformation_matches_the_whole_route(cx, lam, omega, cx.dim_l)
 
 
 def test_obstruction_solution_satisfies_the_equation():
@@ -816,8 +885,8 @@ def test_equal_multivectors_share_one_memo_entry():
     The same Lambda parsed from text, wedged with its terms in the other
     order and scaled by Fraction(2, 4) instead of 1/2, and built from a dict
     of plain int and Fraction coefficients hashes equal, gets an equal
-    block (ad blocks are not kept) and reuses one image table, one
-    pivot-count entry and one core, whose memos do not grow either.
+    block (ad blocks are not kept) and reuses one image table, the same
+    pivot counts and one core, whose memos do not grow either.
     """
     from nilpoisson.cohomology import _pivot_counts
     from nilpoisson.exterior import Monomial
@@ -835,16 +904,12 @@ def test_equal_multivectors_share_one_memo_entry():
     counts = _pivot_counts(cx, parsed, 3)
     core, _, _ = cx.split(parsed)   # the counts come from the core of L_Lambda
 
-    def memo_sizes():
-        return [(len(c._blocks), len(c._images_memo), len(c._derivations),
-                 len(c.pivot_counts), len(c.tables), len(c._splits)) for c in (cx, core)]
-
-    before = memo_sizes()
+    before = _memo_sizes(cx, core)
     for other in (built, from_dict):
         assert cx.operator_block("ad", 1, 1, other) == block
-        assert _pivot_counts(cx, other, 3) is counts
+        assert _pivot_counts(cx, other, 3) == counts
         assert cx.split(other)[0] is core
-    assert memo_sizes() == before
+    assert _memo_sizes(cx, core) == before
     assert len(cx._derivations) == 2   # dbar's images and Lambda's, shared with the core
 
 
